@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,17 +93,19 @@ func checkInterruptedTrace(t *testing.T, events []trace.Event) {
 
 // TestAttackCancelParallel cancels a live multi-instance run; under
 // -race this exercises the interrupt path racing against concurrent
-// instance goroutines and the shared-oracle lock.
+// instance goroutines and the shared-oracle lock. The cancel fires
+// from the checkpoint sink once the first Step has completed, so the
+// run always has partial statistics to report however slow the
+// machine is.
 func TestAttackCancelParallel(t *testing.T) {
 	l := lockedC880Full(t, 12)
 	orc := oracle.NewProbabilistic(l.Circuit, l.Key, 0.02, 31)
 	opts := quickOpts(0.02, 4)
 	opts.Parallel = true
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	var once sync.Once
+	opts.Checkpoint = func(engine.Checkpoint) { once.Do(cancel) }
 	res, err := Attack(ctx, l.Circuit, orc, opts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)

@@ -40,12 +40,19 @@ type estOp struct {
 // key. An Estimator is bound to one circuit and is NOT safe for
 // concurrent use; give each goroutine its own (they are cheap: a few
 // NumGates-sized slices).
+//
+// The schedule lists the gates with no key input in their fanin cone
+// first: their values and error probabilities depend on the input
+// alone, so AverageOutputBERs computes them once per input and
+// re-runs only ops[nIndep:] for each candidate key.
 type Estimator struct {
-	c     *circuit.Circuit
-	vals  []bool
-	p     []float64
-	ops   []estOp
-	fanin []int32
+	c      *circuit.Circuit
+	vals   []bool
+	p      []float64
+	ops    []estOp
+	fanin  []int32
+	nIndep int
+	wide   error // the first gate (topological order) too wide to enumerate
 }
 
 // NewEstimator returns an estimator for c with pre-sized scratch and
@@ -56,21 +63,44 @@ func NewEstimator(c *circuit.Circuit) *Estimator {
 		vals: make([]bool, c.NumGates()),
 		p:    make([]float64, c.NumGates()),
 	}
+	keyDep := make([]bool, c.NumGates())
+	for _, id := range c.Keys {
+		keyDep[id] = true
+	}
+	var dep []estOp
 	for _, id := range c.MustTopoOrder() {
 		g := &c.Gates[id]
 		if g.Type.IsInputType() {
-			continue // inputs and constants are noise-free: p stays 0
+			// Inputs and constants are noise-free: p stays 0. Constant
+			// values are fixed here; PIs and keys are set per call.
+			est.vals[id] = g.Type == circuit.Const1
+			continue
 		}
-		est.ops = append(est.ops, estOp{
+		if len(g.Fanin) > MaxEnumFanin && est.wide == nil {
+			est.wide = fmt.Errorf("errprop: gate %d (%s) fanin %d exceeds enumeration limit %d",
+				id, g.Name, len(g.Fanin), MaxEnumFanin)
+		}
+		op := estOp{
 			typ:  g.Type,
 			out:  int32(id),
 			off:  int32(len(est.fanin)),
 			nfan: int32(len(g.Fanin)),
-		})
+		}
 		for _, f := range g.Fanin {
 			est.fanin = append(est.fanin, int32(f))
+			keyDep[id] = keyDep[id] || keyDep[f]
+		}
+		// A key-independent gate's fanins are key-independent too, so
+		// moving these ahead of the key-dependent ones keeps the
+		// schedule topological.
+		if keyDep[id] {
+			dep = append(dep, op)
+		} else {
+			est.ops = append(est.ops, op)
 		}
 	}
+	est.nIndep = len(est.ops)
+	est.ops = append(est.ops, dep...)
 	return est
 }
 
@@ -85,28 +115,59 @@ func WireErrorProbs(c *circuit.Circuit, x, k []bool, eps float64) ([]float64, er
 // function: the returned slice is the estimator's scratch, valid only
 // until the next call on the same estimator. Copy it to retain it.
 func (est *Estimator) WireErrorProbs(x, k []bool, eps float64) ([]float64, error) {
-	c := est.c
-	if eps < 0 || eps > 1 {
-		return nil, fmt.Errorf("errprop: eps %v out of [0,1]", eps)
+	if err := est.check(eps); err != nil {
+		return nil, err
 	}
-	vals := c.EvalWires(x, k, est.vals)
-	p := est.p[:c.NumGates()]
+	est.setInputs(x)
+	est.setKey(k)
+	est.propagate(est.ops, eps)
+	return est.p, nil
+}
+
+func (est *Estimator) check(eps float64) error {
+	if eps < 0 || eps > 1 {
+		return fmt.Errorf("errprop: eps %v out of [0,1]", eps)
+	}
+	return est.wide
+}
+
+func (est *Estimator) setInputs(x []bool) {
+	c := est.c
+	if len(x) != len(c.PIs) {
+		panic(fmt.Sprintf("errprop: circuit %q: %d PI values, want %d", c.Name, len(x), len(c.PIs)))
+	}
+	for i, id := range c.PIs {
+		est.vals[id] = x[i]
+	}
+}
+
+func (est *Estimator) setKey(k []bool) {
+	c := est.c
+	if len(k) != len(c.Keys) {
+		panic(fmt.Sprintf("errprop: circuit %q: %d key values, want %d", c.Name, len(k), len(c.Keys)))
+	}
+	for i, id := range c.Keys {
+		est.vals[id] = k[i]
+	}
+}
+
+// propagate evaluates ops in order, computing each gate's
+// deterministic value and the probability that its noisy value
+// differs from it. Every fanin of an op must already be evaluated.
+func (est *Estimator) propagate(ops []estOp, eps float64) {
+	vals, p := est.vals, est.p
 	var faninVals [MaxEnumFanin]bool
 	var faninErrs [MaxEnumFanin]float64
 	var flipped [MaxEnumFanin]bool
-	for oi := range est.ops {
-		op := &est.ops[oi]
-		id := int(op.out)
+	for oi := range ops {
+		op := &ops[oi]
 		n := int(op.nfan)
-		if n > MaxEnumFanin {
-			return nil, fmt.Errorf("errprop: gate %d (%s) fanin %d exceeds enumeration limit %d",
-				id, c.Gates[id].Name, n, MaxEnumFanin)
-		}
 		for i, f := range est.fanin[op.off : op.off+op.nfan] {
 			faninVals[i] = vals[f]
 			faninErrs[i] = p[f]
 		}
-		correct := vals[id]
+		correct := op.typ.Eval(faninVals[:n])
+		vals[op.out] = correct
 		// q = P(gate function over (possibly flipped) inputs differs
 		// from the deterministic output), enumerating flip patterns.
 		q := 0.0
@@ -131,9 +192,8 @@ func (est *Estimator) WireErrorProbs(x, k []bool, eps float64) ([]float64, error
 		}
 		// Fold in the gate's own flip: wrong iff exactly one of
 		// (inputs made it wrong, gate flipped).
-		p[id] = q*(1-eps) + (1-q)*eps
+		p[op.out] = q*(1-eps) + (1-q)*eps
 	}
-	return p, nil
 }
 
 // OutputBERs returns the per-output BER estimate for input x and key k
@@ -174,19 +234,26 @@ func AverageOutputBERs(c *circuit.Circuit, x []bool, keys [][]bool, eps float64)
 // probabilities live in the estimator's scratch, so only the returned
 // averaged vector is allocated (it is freshly allocated on every call
 // because callers retain it per DIP).
+//
+// The key-independent part of the circuit is evaluated once for x;
+// each key then re-evaluates only the gates downstream of a key input.
+// The result is bit-identical to averaging WireErrorProbs per key.
 func (est *Estimator) AverageOutputBERs(x []bool, keys [][]bool, eps float64) ([]float64, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("errprop: no candidate keys to average over")
 	}
+	if err := est.check(eps); err != nil {
+		return nil, err
+	}
 	c := est.c
+	est.setInputs(x)
+	est.propagate(est.ops[:est.nIndep], eps)
 	acc := make([]float64, c.NumPOs())
 	for _, k := range keys {
-		p, err := est.WireErrorProbs(x, k, eps)
-		if err != nil {
-			return nil, err
-		}
+		est.setKey(k)
+		est.propagate(est.ops[est.nIndep:], eps)
 		for i, po := range c.POs {
-			acc[i] += p[po]
+			acc[i] += est.p[po]
 		}
 	}
 	for i := range acc {

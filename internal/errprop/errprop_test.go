@@ -7,6 +7,7 @@ import (
 
 	"statsat/internal/circuit"
 	"statsat/internal/gen"
+	"statsat/internal/lock"
 )
 
 func TestSingleBufGate(t *testing.T) {
@@ -256,6 +257,108 @@ func TestAverageOutputBERs(t *testing.T) {
 	}
 	if _, err := AverageOutputBERs(orig, x, nil, 0.03); err == nil {
 		t.Error("want error for empty key set")
+	}
+}
+
+// referenceWireErrorProbs is the estimator without its schedule
+// tricks: EvalWires for the deterministic values, then one pass over
+// the circuit's own topological order.
+func referenceWireErrorProbs(c *circuit.Circuit, x, k []bool, eps float64) []float64 {
+	vals := c.EvalWires(x, k, nil)
+	p := make([]float64, c.NumGates())
+	for _, id := range c.MustTopoOrder() {
+		g := &c.Gates[id]
+		if g.Type.IsInputType() {
+			continue
+		}
+		n := len(g.Fanin)
+		in := make([]bool, n)
+		q := 0.0
+		for mask := 0; mask < 1<<uint(n); mask++ {
+			prob := 1.0
+			for i, f := range g.Fanin {
+				if mask>>uint(i)&1 == 1 {
+					prob *= p[f]
+					in[i] = !vals[f]
+				} else {
+					prob *= 1 - p[f]
+					in[i] = vals[f]
+				}
+			}
+			if prob == 0 { // the estimator's exact-zero skip
+				continue
+			}
+			if g.Type.Eval(in) != vals[id] {
+				q += prob
+			}
+		}
+		p[id] = q*(1-eps) + (1-q)*eps
+	}
+	return p
+}
+
+// TestKeyIndependentConeBitIdentical pins the per-DIP reuse of the
+// key-independent cone: on locked circuits, WireErrorProbs matches the
+// plain reference and AverageOutputBERs matches the mean of per-key
+// WireErrorProbs, bit for bit.
+func TestKeyIndependentConeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	bm, _ := gen.ByName("c880")
+	orig := bm.BuildScaled(8)
+	locks := map[string]func() (*lock.Locked, error){
+		"rll":     func() (*lock.Locked, error) { return lock.RLL(orig, 12, rng) },
+		"antisat": func() (*lock.Locked, error) { return lock.AntiSAT(orig, 10, rng) },
+		"sfll":    func() (*lock.Locked, error) { return lock.SFLLHD(orig, 6, 0, rng) },
+	}
+	for _, name := range []string{"rll", "antisat", "sfll"} {
+		l, err := locks[name]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := l.Circuit
+		est := NewEstimator(c)
+		if est.nIndep == 0 || est.nIndep == len(est.ops) {
+			t.Fatalf("%s: %d of %d ops key-independent, want a proper split", name, est.nIndep, len(est.ops))
+		}
+		for trial := 0; trial < 3; trial++ {
+			x := c.RandomInputs(rng)
+			keys := make([][]bool, 5)
+			for i := range keys {
+				keys[i] = make([]bool, c.NumKeys())
+				for j := range keys[i] {
+					keys[i][j] = rng.Intn(2) == 1
+				}
+			}
+			const eps = 0.02
+			want := make([]float64, c.NumPOs())
+			for _, k := range keys {
+				got, err := est.WireErrorProbs(x, k, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceWireErrorProbs(c, x, k, eps)
+				for id := range ref {
+					if math.Float64bits(got[id]) != math.Float64bits(ref[id]) {
+						t.Fatalf("%s: wire %d: %v, reference %v", name, id, got[id], ref[id])
+					}
+				}
+				for i, po := range c.POs {
+					want[i] += got[po]
+				}
+			}
+			for i := range want {
+				want[i] /= float64(len(keys))
+			}
+			avg, err := est.AverageOutputBERs(x, keys, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(avg[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: output %d: average %v, per-key mean %v", name, i, avg[i], want[i])
+				}
+			}
+		}
 	}
 }
 

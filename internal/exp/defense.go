@@ -40,8 +40,8 @@ func Defense(ctx context.Context, p Profile, w io.Writer) ([]DefenseRow, error) 
 		return nil, err
 	}
 	// Scheduler jobs share the deep circuit read-only; warm its lazy
-	// topo-order cache like BuildWorkload does for the RLL one.
-	deep.Circuit.MustTopoOrder()
+	// caches like BuildWorkload does for the RLL one.
+	deep.Circuit.NumLogicOps()
 
 	fmt.Fprintf(w, "DEFENSE STUDY: shallow RLL vs depth-targeted RLL-deep under StatSAT (profile %s)\n", p.Name)
 	fmt.Fprintf(w, "%-10s %6s %9s %5s %9s %6s %5s %6s\n",

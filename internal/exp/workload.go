@@ -67,11 +67,12 @@ func BuildWorkload(p Profile, name string) (Workload, error) {
 	if err != nil {
 		return Workload{}, fmt.Errorf("exp: locking %s: %w", name, err)
 	}
-	// Warm the topological-order caches now: attack runs on different
-	// scheduler workers share the circuit read-only, and the lazily
-	// built cache is the one field evaluation would otherwise write.
-	orig.MustTopoOrder()
-	l.Circuit.MustTopoOrder()
+	// Warm the lazily built caches now (NumLogicOps compiles the
+	// evaluation program on top of the topological order): attack runs
+	// on different scheduler workers share the circuit read-only, and
+	// these caches are the only fields evaluation would otherwise write.
+	orig.NumLogicOps()
+	l.Circuit.NumLogicOps()
 	return Workload{Bench: bm, Orig: orig, Locked: l}, nil
 }
 

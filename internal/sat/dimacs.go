@@ -110,8 +110,8 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 			fmt.Fprintf(bw, "%s 0\n", l)
 		}
 	}
-	for _, c := range s.clauses {
-		for _, l := range c.lits {
+	for _, cr := range s.clauses {
+		for _, l := range s.lits(cr) {
 			fmt.Fprintf(bw, "%s ", l)
 		}
 		fmt.Fprintln(bw, "0")

@@ -14,6 +14,8 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -62,33 +64,35 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
+// cref addresses a clause in the solver's arena: the offset of its
+// header word. Refs are plain integers, so watchers, reasons and the
+// clause lists hold no pointers and the garbage collector never walks
+// the clause graph.
+type cref uint32
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
+// noRef is the null clause reference (a decision, an assumption or a
+// unit clause has no reason clause).
+const noRef = ^cref(0)
 
-type clause struct {
-	lits   []Lit
-	act    float32
-	lbd    int32
-	epoch  int32 // derivation watermark (see vepoch); 0 = pre-fork formula
-	learnt bool
-}
+// Clause layout in the arena: a clauseHeader-word header followed by
+// the literals. Word 0 packs the size and two flags; the others hold
+// the LBD, the derivation epoch and the float32 activity bits.
+const (
+	hdrSize      = 0 // size<<2 | deleted<<1 | learnt
+	hdrLBD       = 1
+	hdrEpoch     = 2
+	hdrAct       = 3
+	clauseHeader = 4
 
+	learntBit  Lit = 1
+	deletedBit Lit = 2
+)
+
+// watcher is one entry of a watch list: the watched clause and a
+// blocker literal from it (when the blocker is true the clause is
+// satisfied and the visit ends without touching the arena).
 type watcher struct {
-	c       *clause
+	cr      cref
 	blocker Lit
 }
 
@@ -118,13 +122,14 @@ func (s Status) String() string {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learnt clauses
+	arena   []Lit  // every clause: header words, then literals (docs/SOLVER.md)
+	clauses []cref // problem clauses
+	learnts []cref // learnt clauses
 	watches [][]watcher
 
-	assigns  []lbool
+	value    []lbool // per literal, so a literal's truth is one load
 	level    []int32
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -168,9 +173,12 @@ type Solver struct {
 	// Luby restart state.
 	restartBase int
 
-	// analyze scratch.
+	// Scratch: conflict analysis, LBD level stamps, clause intake.
 	seen       []byte
 	analyzeBuf []Lit
+	lbdStamp   []uint32 // decision level -> lbdTick of its last count
+	lbdTick    uint32
+	addBuf     []Lit
 
 	// Statistics.
 	Stats Statistics
@@ -328,7 +336,7 @@ func (s *Solver) LogLen() int { return len(s.log) }
 func (s *Solver) LogSince(n int) []LogEntry { return s.log[n:] }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses retained.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
@@ -347,18 +355,51 @@ func (s *Solver) Clauses() [][]Lit {
 			out = append(out, []Lit{l})
 		}
 	}
-	for _, c := range s.clauses {
-		out = append(out, append([]Lit(nil), c.lits...))
+	for _, cr := range s.clauses {
+		out = append(out, append([]Lit(nil), s.lits(cr)...))
 	}
 	return out
 }
 
+// lits returns the literals of clause cr, aliasing the arena: valid
+// until the next clause allocation or compaction.
+func (s *Solver) lits(cr cref) []Lit {
+	start := int(cr) + clauseHeader
+	return s.arena[start : start+int(uint32(s.arena[int(cr)+hdrSize])>>2)]
+}
+
+func (s *Solver) lbdOf(cr cref) int32   { return int32(s.arena[int(cr)+hdrLBD]) }
+func (s *Solver) epochOf(cr cref) int32 { return int32(s.arena[int(cr)+hdrEpoch]) }
+
+func (s *Solver) activityOf(cr cref) float32 {
+	return math.Float32frombits(uint32(s.arena[int(cr)+hdrAct]))
+}
+
+func (s *Solver) setActivity(cr cref, a float32) {
+	s.arena[int(cr)+hdrAct] = Lit(math.Float32bits(a))
+}
+
+// alloc appends a clause to the arena (activity 0) and returns its ref.
+func (s *Solver) alloc(lits []Lit, learnt bool, lbd, epoch int32) cref {
+	cr := len(s.arena)
+	if uint64(cr)+clauseHeader+uint64(len(lits)) >= uint64(noRef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+	hdr := Lit(len(lits)) << 2
+	if learnt {
+		hdr |= learntBit
+	}
+	s.arena = append(s.arena, hdr, Lit(lbd), Lit(epoch), 0)
+	s.arena = append(s.arena, lits...)
+	return cref(cr)
+}
+
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.value = append(s.value, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noRef)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, s.defaultPhase)
 	s.vepoch = append(s.vepoch, 0)
@@ -370,22 +411,11 @@ func (s *Solver) NewVar() Var {
 
 // NewVars allocates n fresh variables and returns the first.
 func (s *Solver) NewVars(n int) Var {
-	first := Var(len(s.assigns))
+	first := Var(len(s.level))
 	for i := 0; i < n; i++ {
 		s.NewVar()
 	}
 	return first
-}
-
-func (s *Solver) litValue(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return v.neg()
-	}
-	return v
 }
 
 // Okay reports whether the solver is still consistent at the top level
@@ -420,13 +450,15 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 	// below: the simplified clause is implied by the original PLUS
 	// those root facts, so soundness in a sibling requires all of them.
 	wm := baseEpoch
-	// Sort and dedup; drop tautologies and false literals.
-	lits := append([]Lit(nil), in...)
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	// Sort and dedup; drop tautologies and false literals. The literals
+	// are staged in a reusable buffer; alloc copies them into the arena.
+	lits := append(s.addBuf[:0], in...)
+	s.addBuf = lits
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev Lit = -1
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assigns) {
+		if int(l.Var()) >= len(s.level) {
 			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.Var()))
 		}
 		if l == prev {
@@ -435,7 +467,7 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		if prev >= 0 && l == prev.Not() && l.Var() == prev.Var() {
 			return true // tautology: x ∨ ¬x
 		}
-		switch s.litValue(l) {
+		switch s.value[l] {
 		case lTrue:
 			if s.level[l.Var()] == 0 {
 				return true // satisfied at root
@@ -458,24 +490,27 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		return false
 	case 1:
 		s.pendingEpoch = wm
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], noRef) {
 			s.okay = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != noRef {
 			s.okay = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out, epoch: wm, learnt: learnt}
+	var lbd int32
 	if learnt {
-		c.lbd = int32(len(out)) // pessimistic: imported clauses are reducible
-		s.learnts = append(s.learnts, c)
-	} else {
-		s.clauses = append(s.clauses, c)
+		lbd = int32(len(out)) // pessimistic: imported clauses are reducible
 	}
-	s.attach(c)
+	cr := s.alloc(out, learnt, lbd, wm)
+	if learnt {
+		s.learnts = append(s.learnts, cr)
+	} else {
+		s.clauses = append(s.clauses, cr)
+	}
+	s.attach(cr)
 	return true
 }
 
@@ -490,7 +525,7 @@ func (s *Solver) importPending() bool {
 	for _, im := range s.importer() {
 		ok := true
 		for _, l := range im.Lits {
-			if int(l.Var()) >= len(s.assigns) {
+			if int(l.Var()) >= len(s.level) {
 				ok = false // publisher's var space ran ahead of ours; skip
 				break
 			}
@@ -506,20 +541,23 @@ func (s *Solver) importPending() bool {
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+func (s *Solver) attach(cr cref) {
+	lits := s.lits(cr)
+	l0, l1 := lits[0], lits[1]
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{cr, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{cr, l0})
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Not(), c)
-	s.removeWatch(c.lits[1].Not(), c)
+func (s *Solver) detach(cr cref) {
+	lits := s.lits(cr)
+	s.removeWatch(lits[0].Not(), cr)
+	s.removeWatch(lits[1].Not(), cr)
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+func (s *Solver) removeWatch(l Lit, cr cref) {
 	ws := s.watches[l]
 	for i := range ws {
-		if ws[i].c == c {
+		if ws[i].cr == cr {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
 			return
@@ -529,15 +567,16 @@ func (s *Solver) removeWatch(l Lit, c *clause) {
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLim)) }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
-	switch s.litValue(l) {
+func (s *Solver) enqueue(l Lit, from cref) bool {
+	switch s.value[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
+	s.value[l] = lTrue
+	s.value[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	if len(s.trailLim) == 0 {
@@ -547,9 +586,9 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 		// root enqueues (unit clauses, unit learnts) pass their epoch
 		// via pendingEpoch.
 		e := s.pendingEpoch
-		if from != nil {
-			e = from.epoch
-			for _, q := range from.lits {
+		if from != noRef {
+			e = s.epochOf(from)
+			for _, q := range s.lits(from) {
 				if q.Var() != v {
 					if ve := s.vepoch[q.Var()]; ve > e {
 						e = ve
@@ -563,65 +602,69 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 	return true
 }
 
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to a fixpoint and returns the
+// conflicting clause, or noRef. Watch lists are compacted stably; a
+// watcher whose clause finds a new literal to watch is appended to
+// that literal's list.
+func (s *Solver) propagate() cref {
+	confl := noRef
+	vals := s.value
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		i, j := 0, 0
-		var confl *clause
 	outer:
 		for i < len(ws) {
 			w := ws[i]
-			if s.litValue(w.blocker) == lTrue {
+			i++
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
-				i++
 				j++
 				continue
 			}
-			c := w.c
+			cr := w.cr
+			lits := s.lits(cr)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
-				ws[j] = watcher{c, first}
-				i++
+			first := lits[0]
+			nw := watcher{cr, first}
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = nw
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
-					i++
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], falseLit
+					wl := lits[1].Not()
+					s.watches[wl] = append(s.watches[wl], nw)
 					continue outer
 				}
 			}
 			// Clause is unit or conflicting.
-			ws[j] = watcher{c, first}
-			i++
+			ws[j] = nw
 			j++
-			if !s.enqueue(first, c) {
-				confl = c
+			if !s.enqueue(first, cr) {
+				confl = cr
 				s.qhead = len(s.trail)
 				break
 			}
 		}
-		for i < len(ws) {
-			ws[j] = ws[i]
-			i++
-			j++
+		if j < i { // some watchers moved to other lists
+			j += copy(ws[j:], ws[i:])
+			s.watches[p] = ws[:j]
 		}
-		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != noRef {
 			return confl
 		}
 	}
-	return nil
+	return noRef
 }
 
 func (s *Solver) cancelUntil(level int32) {
@@ -632,9 +675,10 @@ func (s *Solver) cancelUntil(level int32) {
 	for i := len(s.trail) - 1; i >= limit; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		s.phase[v] = s.assigns[v]
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.phase[v] = s.value[PosLit(v)]
+		s.value[l] = lUndef
+		s.value[l.Not()] = lUndef
+		s.reason[v] = noRef
 		if !s.order.inHeap(v) {
 			s.order.push(v, &s.activity)
 		}
@@ -657,19 +701,22 @@ func (s *Solver) bumpVar(v Var) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += float32(s.claInc)
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(cr cref) {
+	a := s.activityOf(cr) + float32(s.claInc)
+	s.setActivity(cr, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setActivity(lc, s.activityOf(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
 }
 
 // analyze performs 1-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
+// clause (asserting literal first) and the backtrack level. The clause
+// aliases the solver's scratch buffer: it is valid until the next
+// analyze, and recordLearnt copies it into the arena.
+func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 	learnt := s.analyzeBuf[:0]
 	learnt = append(learnt, 0) // placeholder for asserting literal
 	var p Lit = -1
@@ -678,15 +725,14 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	s.analyzeWM = 0
 	for {
 		s.bumpClause(confl)
-		if confl.epoch > s.analyzeWM {
-			s.analyzeWM = confl.epoch
+		if e := s.epochOf(confl); e > s.analyzeWM {
+			s.analyzeWM = e
 		}
-		start := 0
+		lits := s.lits(confl)
 		if p != -1 {
-			start = 1
+			lits = lits[1:]
 		}
-		for k := start; k < len(confl.lits); k++ {
-			q := confl.lits[k]
+		for _, q := range lits {
 			v := q.Var()
 			if s.seen[v] == 0 && s.level[v] > 0 {
 				s.seen[v] = 1
@@ -720,18 +766,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 	learnt[0] = p.Not()
 
 	// Conflict clause minimisation (local: drop literals implied by
-	// the rest of the clause through their reason clauses). Record all
-	// marked variables first so seen[] can be fully cleared afterwards
-	// even for the literals the minimisation drops.
-	toClear := make([]Var, len(learnt))
-	for i, l := range learnt {
+	// the rest of the clause through their reason clauses). Every
+	// literal stays marked until the end; kept literals are swapped to
+	// the front in order, so learnt still lists all marked variables
+	// for the clearing pass afterwards.
+	for _, l := range learnt {
 		s.seen[l.Var()] = 1
-		toClear[i] = l.Var()
 	}
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		if !s.redundant(learnt[i]) {
-			learnt[j] = learnt[i]
+			learnt[j], learnt[i] = learnt[i], learnt[j]
 			j++
 		}
 	}
@@ -749,12 +794,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 		minimised[1], minimised[maxI] = minimised[maxI], minimised[1]
 		btLevel = s.level[minimised[1].Var()]
 	}
-	for _, v := range toClear {
-		s.seen[v] = 0
+	for _, l := range learnt {
+		s.seen[l.Var()] = 0
 	}
 	s.analyzeBuf = learnt[:0]
-	out := append([]Lit(nil), minimised...)
-	return out, btLevel
+	return minimised, btLevel
 }
 
 // redundant reports whether literal l in a learnt clause is implied by
@@ -763,11 +807,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int32) {
 // any root facts it mentions), so the watermark absorbs their epochs.
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == noRef {
 		return false
 	}
-	wm := r.epoch
-	for _, q := range r.lits {
+	wm := s.epochOf(r)
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -787,12 +831,26 @@ func (s *Solver) redundant(l Lit) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels among lits by
+// stamping each level with a per-call tick.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	seenLevels := map[int32]struct{}{}
-	for _, l := range lits {
-		seenLevels[s.level[l.Var()]] = struct{}{}
+	s.lbdTick++
+	if s.lbdTick == 0 { // wrapped: old stamps could collide
+		clear(s.lbdStamp)
+		s.lbdTick = 1
 	}
-	return int32(len(seenLevels))
+	n := int32(0)
+	for _, l := range lits {
+		lv := s.level[l.Var()]
+		if int(lv) >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]uint32, int(lv)+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lv] != s.lbdTick {
+			s.lbdStamp[lv] = s.lbdTick
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
@@ -805,18 +863,18 @@ func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 		return false
 	case 1:
 		s.pendingEpoch = wm
-		if !s.enqueue(lits[0], nil) {
+		if !s.enqueue(lits[0], noRef) {
 			s.okay = false
 			return false
 		}
 	default:
 		lbd = s.computeLBD(lits)
-		c := &clause{lits: lits, learnt: true, lbd: lbd, epoch: wm}
-		s.learnts = append(s.learnts, c)
+		cr := s.alloc(lits, true, lbd, wm)
+		s.learnts = append(s.learnts, cr)
 		s.Stats.Learnt++
-		s.attach(c)
-		s.bumpClause(c)
-		if !s.enqueue(lits[0], c) {
+		s.attach(cr)
+		s.bumpClause(cr)
+		if !s.enqueue(lits[0], cr) {
 			s.okay = false
 			return false
 		}
@@ -831,33 +889,86 @@ func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the
-// most active / lowest-LBD ones and any currently locked clause.
+// most active / lowest-LBD ones and any currently locked clause, then
+// compacts the arena.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return a.lbd <= 2
+		la, lb := s.lbdOf(a), s.lbdOf(b)
+		if (la <= 2) != (lb <= 2) {
+			return la <= 2
 		}
-		return a.act > b.act
+		return s.activityOf(a) > s.activityOf(b)
 	})
 	keep := len(s.learnts) / 2
 	kept := s.learnts[:0]
-	for i, c := range s.learnts {
-		locked := len(c.lits) > 0 && s.reason[c.lits[0].Var()] == c && s.litValue(c.lits[0]) == lTrue
-		if i < keep || locked || len(c.lits) <= 2 {
-			kept = append(kept, c)
+	freed := 0
+	for i, cr := range s.learnts {
+		lits := s.lits(cr)
+		locked := s.reason[lits[0].Var()] == cr && s.value[lits[0]] == lTrue
+		if i < keep || locked || len(lits) <= 2 {
+			kept = append(kept, cr)
 		} else {
-			s.detach(c)
+			s.detach(cr)
+			s.arena[int(cr)+hdrSize] |= deletedBit
+			freed += clauseHeader + len(lits)
 			s.Stats.Removed++
 		}
 	}
 	s.learnts = kept
+	if freed > 0 {
+		s.compact(freed)
+	}
 }
 
+// compact copies the live clauses into a fresh arena in their current
+// order and rewrites every ref: watchers, reasons and both clause
+// lists keep their order, so compaction never changes the search.
+// Deleted clauses are unreachable by then (reduceDB detached them and
+// never deletes a locked reason).
+func (s *Solver) compact(freed int) {
+	old := s.arena
+	arena := make([]Lit, 0, len(old)-freed)
+	for cr := 0; cr < len(old); {
+		end := cr + clauseHeader + int(uint32(old[cr+hdrSize])>>2)
+		if old[cr+hdrSize]&deletedBit == 0 {
+			nr := len(arena)
+			arena = append(arena, old[cr:end]...)
+			old[cr+hdrLBD] = Lit(nr) // forwarding ref; old is discarded
+		}
+		cr = end
+	}
+	fwd := func(cr cref) cref { return cref(old[int(cr)+hdrLBD]) }
+	for _, ws := range s.watches {
+		for k := range ws {
+			ws[k].cr = fwd(ws[k].cr)
+		}
+	}
+	for v, r := range s.reason {
+		if r != noRef {
+			s.reason[v] = fwd(r)
+		}
+	}
+	for k, cr := range s.clauses {
+		s.clauses[k] = fwd(cr)
+	}
+	for k, cr := range s.learnts {
+		s.learnts[k] = fwd(cr)
+	}
+	s.arena = arena
+}
+
+// pickBranchVar pops the most active unassigned variable. Once every
+// variable is assigned, popping would drain the heap entry by entry;
+// emptying it in one sweep reaches the same empty heap.
 func (s *Solver) pickBranchVar() (Var, bool) {
+	if len(s.trail) == len(s.level) {
+		s.order.clear()
+		return 0, false
+	}
 	for s.order.size() > 0 {
 		v := s.order.pop(&s.activity)
-		if s.assigns[v] == lUndef {
+		if s.value[PosLit(v)] == lUndef {
 			return v, true
 		}
 	}
@@ -912,7 +1023,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noRef {
 		s.okay = false
 		return Unsat
 	}
@@ -928,7 +1039,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noRef {
 			s.Stats.Conflicts++
 			conflictsSinceRestart++
 			if s.decisionLevel() == 0 {
@@ -938,7 +1049,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			// Learn and backjump. Backjumping below the assumption
 			// levels is fine: the decision loop re-asserts the
 			// assumptions; a genuinely inconsistent assumption then
-			// shows up as litValue == lFalse at its decision point.
+			// shows up as a false literal at its decision point.
 			learnt, btLevel := s.analyze(confl)
 			if !s.recordLearnt(learnt, btLevel) {
 				return Unsat
@@ -982,7 +1093,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		// Assumption decisions first.
 		if int(s.decisionLevel()) < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.litValue(a) {
+			switch s.value[a] {
 			case lTrue:
 				// Already satisfied: open an empty decision level so
 				// the level↔assumption-index mapping stays aligned.
@@ -993,7 +1104,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			if !s.enqueue(a, nil) {
+			if !s.enqueue(a, noRef) {
 				s.cancelUntil(0)
 				return Unsat
 			}
@@ -1011,7 +1122,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		ph := s.phase[v]
 		lit := MkLit(v, ph != lTrue)
-		s.enqueue(lit, nil)
+		s.enqueue(lit, noRef)
 	}
 }
 
@@ -1024,11 +1135,14 @@ func (s *Solver) countAssumptionLevels(assumptions []Lit) int {
 }
 
 func (s *Solver) saveModel() {
-	if cap(s.model) < len(s.assigns) {
-		s.model = make([]lbool, len(s.assigns))
+	n := len(s.level)
+	if cap(s.model) < n {
+		s.model = make([]lbool, n)
 	}
-	s.model = s.model[:len(s.assigns)]
-	copy(s.model, s.assigns)
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.value[PosLit(Var(v))]
+	}
 }
 
 // ModelValue returns the last model's value of v. Only meaningful
@@ -1055,6 +1169,9 @@ func (s *Solver) ModelLit(l Lit) bool {
 // this). Portfolio bindings — exporter, importer, clause journal — are
 // deliberately NOT copied: pool membership is per-solver and each
 // clone that wants one registers its own (docs/SOLVER.md).
+//
+// Clause refs are arena offsets, so the clause store, both clause
+// lists, the reasons and the watch lists copy verbatim.
 func (s *Solver) Clone() *Solver {
 	s.cancelUntil(0)
 	n := New()
@@ -1067,48 +1184,36 @@ func (s *Solver) Clone() *Solver {
 	n.ConflictBudget = s.ConflictBudget
 	n.Stats = s.Stats
 
-	n.assigns = append([]lbool(nil), s.assigns...)
-	n.level = append([]int32(nil), s.level...)
-	n.trail = append([]Lit(nil), s.trail...)
+	n.arena = slices.Clone(s.arena)
+	n.clauses = slices.Clone(s.clauses)
+	n.learnts = slices.Clone(s.learnts)
+	n.value = slices.Clone(s.value)
+	n.level = slices.Clone(s.level)
+	n.reason = slices.Clone(s.reason)
+	n.trail = slices.Clone(s.trail)
 	n.qhead = s.qhead
-	n.activity = append([]float64(nil), s.activity...)
-	n.phase = append([]lbool(nil), s.phase...)
-	n.vepoch = append([]int32(nil), s.vepoch...)
+	n.activity = slices.Clone(s.activity)
+	n.phase = slices.Clone(s.phase)
+	n.vepoch = slices.Clone(s.vepoch)
 	n.seen = make([]byte, len(s.seen))
-	n.model = append([]lbool(nil), s.model...)
+	n.model = slices.Clone(s.model)
 
-	// Deep-copy clauses, tracking the old→new mapping for watches and
-	// reasons.
-	remap := make(map[*clause]*clause, len(s.clauses)+len(s.learnts))
-	cp := func(c *clause) *clause {
-		nc := &clause{lits: append([]Lit(nil), c.lits...), act: c.act, lbd: c.lbd, epoch: c.epoch, learnt: c.learnt}
-		remap[c] = nc
-		return nc
+	// All watch lists share one backing array; each list's capacity
+	// ends at its length, so a later append reallocates that list
+	// alone.
+	total := 0
+	for _, ws := range s.watches {
+		total += len(ws)
 	}
-	n.clauses = make([]*clause, len(s.clauses))
-	for i, c := range s.clauses {
-		n.clauses[i] = cp(c)
-	}
-	n.learnts = make([]*clause, len(s.learnts))
-	for i, c := range s.learnts {
-		n.learnts[i] = cp(c)
-	}
+	buf := make([]watcher, total)
 	n.watches = make([][]watcher, len(s.watches))
 	for i, ws := range s.watches {
 		if len(ws) == 0 {
 			continue
 		}
-		nws := make([]watcher, len(ws))
-		for j, w := range ws {
-			nws[j] = watcher{c: remap[w.c], blocker: w.blocker}
-		}
-		n.watches[i] = nws
-	}
-	n.reason = make([]*clause, len(s.reason))
-	for i, r := range s.reason {
-		if r != nil {
-			n.reason[i] = remap[r]
-		}
+		k := copy(buf, ws)
+		n.watches[i] = buf[:k:k]
+		buf = buf[k:]
 	}
 	n.order = s.order.clone()
 	return n
@@ -1136,6 +1241,14 @@ func (h *heap) push(v Var, act *[]float64) {
 	h.pos[v] = int32(len(h.data))
 	h.data = append(h.data, v)
 	h.up(int(h.pos[v]), act)
+}
+
+// clear empties the heap.
+func (h *heap) clear() {
+	for _, v := range h.data {
+		h.pos[v] = -1
+	}
+	h.data = h.data[:0]
 }
 
 func (h *heap) pop(act *[]float64) Var {

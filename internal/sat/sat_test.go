@@ -676,6 +676,150 @@ func TestReduceDBDirect(t *testing.T) {
 	}
 }
 
+// checkArena verifies the clause store's structural invariants: the
+// arena holds exactly the listed clauses, none marked deleted, each
+// flagged learnt exactly when it is on the learnt list; every clause
+// has exactly two watchers, each on the complement of one of its first
+// two literals; every reason is a listed clause.
+func checkArena(t *testing.T, s *Solver) {
+	t.Helper()
+	watched := map[cref]int{}
+	words := 0
+	for k, list := range [][]cref{s.clauses, s.learnts} {
+		for _, cr := range list {
+			hdr := s.arena[int(cr)+hdrSize]
+			if hdr&deletedBit != 0 {
+				t.Fatalf("listed clause %d is marked deleted", cr)
+			}
+			if learnt := hdr&learntBit != 0; learnt != (k == 1) {
+				t.Fatalf("clause %d: learnt flag %v on the wrong list", cr, learnt)
+			}
+			watched[cr] = 0
+			words += clauseHeader + len(s.lits(cr))
+		}
+	}
+	if words != len(s.arena) {
+		t.Fatalf("arena holds %d words, listed clauses %d", len(s.arena), words)
+	}
+	for l, ws := range s.watches {
+		for _, w := range ws {
+			n, ok := watched[w.cr]
+			if !ok {
+				t.Fatalf("watcher on %v points at unlisted clause %d", Lit(l), w.cr)
+			}
+			watched[w.cr] = n + 1
+			if c := s.lits(w.cr); c[0].Not() != Lit(l) && c[1].Not() != Lit(l) {
+				t.Fatalf("clause %v sits on the watch list of %v", c, Lit(l))
+			}
+		}
+	}
+	for cr, n := range watched {
+		if n != 2 {
+			t.Fatalf("clause %v has %d watchers, want 2", s.lits(cr), n)
+		}
+	}
+	for v, r := range s.reason {
+		if _, ok := watched[r]; r != noRef && !ok {
+			t.Fatalf("reason of var %d points at unlisted clause %d", v, r)
+		}
+	}
+}
+
+// TestReduceDBCompactionAndClone drives learnt-clause reduction and
+// arena compaction organically: a random 3-SAT instance at the phase
+// transition learns thousands of clauses in one Solve. Every model
+// must satisfy every clause, and a Clone taken after compaction must
+// then solve exactly like the original — same verdicts, models and
+// search counters — through further solves that reduce and compact
+// again. The final counters are pinned, so a reduction that keeps a
+// different half or a compaction that reorders anything shows up.
+func TestReduceDBCompactionAndClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const n = 180
+	s := New()
+	s.NewVars(n)
+	randClause := func() []Lit {
+		return []Lit{
+			MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1),
+			MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1),
+			MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1),
+		}
+	}
+	var clauses [][]Lit
+	for j := 0; j < 426*n/100; j++ {
+		c := randClause()
+		clauses = append(clauses, c)
+		s.AddClause(c...)
+	}
+	checkModel := func(who string, sv *Solver, assumptions []Lit) {
+		t.Helper()
+		for _, c := range clauses {
+			sat := false
+			for _, l := range c {
+				sat = sat || sv.ModelLit(l)
+			}
+			if !sat {
+				t.Fatalf("%s: model violates %v", who, c)
+			}
+		}
+		for _, a := range assumptions {
+			if !sv.ModelLit(a) {
+				t.Fatalf("%s: model violates assumption %v", who, a)
+			}
+		}
+	}
+	if s.Solve() != Sat {
+		t.Fatal("instance must be Sat")
+	}
+	checkModel("original", s, nil)
+	if s.Stats.Learnt <= 1000 || s.Stats.Removed == 0 {
+		t.Fatalf("learnt %d, removed %d: want > 1000 learnt and at least one reduction",
+			s.Stats.Learnt, s.Stats.Removed)
+	}
+	checkArena(t, s)
+
+	c := s.Clone()
+	checkArena(t, c)
+	removed := s.Stats.Removed
+	for q := 0; q < 12; q++ {
+		extra := randClause()
+		clauses = append(clauses, extra)
+		s.AddClause(extra...)
+		c.AddClause(extra...)
+		var assumptions []Lit
+		for k := 0; k < 4; k++ {
+			assumptions = append(assumptions, MkLit(Var(rng.Intn(n)), rng.Intn(2) == 1))
+		}
+		got, want := c.Solve(assumptions...), s.Solve(assumptions...)
+		if got != want {
+			t.Fatalf("query %d: clone %v, original %v", q, got, want)
+		}
+		if c.Stats != s.Stats {
+			t.Fatalf("query %d: clone stats %+v, original %+v", q, c.Stats, s.Stats)
+		}
+		if want == Sat {
+			checkModel("original", s, assumptions)
+			for v := Var(0); v < n; v++ {
+				if c.ModelValue(v) != s.ModelValue(v) {
+					t.Fatalf("query %d: models differ at var %d", q, v)
+				}
+			}
+		}
+		checkArena(t, s)
+		checkArena(t, c)
+	}
+	if s.Stats.Removed == removed {
+		t.Error("follow-up solves never reduced the clause database again")
+	}
+	// Recorded with the solver's earlier pointer-based clause store:
+	// reduction and compaction must keep the search itself unchanged.
+	want := Statistics{Decisions: 12514, Propagations: 373456, Conflicts: 10220,
+		Restarts: 55, Learnt: 10218, Removed: 9398, Solves: 13}
+	if s.Stats != want {
+		t.Errorf("search trajectory changed:\n got  %+v\n want %+v", s.Stats, want)
+	}
+}
+
 func TestClausesAccessor(t *testing.T) {
 	s, v := mk(3)
 	s.AddClause(PosLit(v[0]), PosLit(v[1]))

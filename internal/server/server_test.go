@@ -102,16 +102,17 @@ func waitTerminal(t *testing.T, srv *Server, id string) *Job {
 }
 
 // slowSpec is a job that cannot finish quickly: an Anti-SAT locked
-// benchmark forces ~2^(k-1) distinguishing iterations, so a 14-bit lock
-// keeps the attack busy far longer than any test step while each
-// individual iteration stays fast.
+// benchmark forces 2^(k/2) distinguishing iterations, so an 18-bit
+// lock (512 DIPs, a few seconds of attack) keeps the attack busy far
+// longer than any test step — the 300 ms job timeout included — while
+// each individual iteration stays fast.
 func slowSpec() Spec {
 	return Spec{
 		Attack:    "statsat",
 		Benchmark: "c880",
 		Scale:     8,
 		Lock:      "antisat",
-		KeyBits:   14,
+		KeyBits:   18,
 		Options:   SpecOptions{Ns: 20, MaxIter: 1 << 20},
 	}
 }
