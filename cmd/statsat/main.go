@@ -15,12 +15,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
 	"statsat/internal/attack"
+	"statsat/internal/circuit"
 	"statsat/internal/core"
 	"statsat/internal/metrics"
 	"statsat/internal/netio"
@@ -56,8 +58,6 @@ func run() int {
 		maxIter  = flag.Int("maxiter", 20000, "iteration safety cap")
 		parallel = flag.Bool("parallel", false, "run SAT instances concurrently (faster, non-reproducible)")
 		srvURL   = flag.String("server", "", "submit the job to a statsatd daemon at this base URL instead of attacking locally")
-		pfWork   = flag.Int("portfolio-workers", 1, "portfolio solver racing: total worker bound (<= 1 = off, byte-identical to sequential)")
-		pfRace   = flag.Int("portfolio-racers", 0, "racing helper configurations per miter solve (0 = default 3)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -88,7 +88,6 @@ func run() int {
 				Ns: *ns, NSatis: *nSatis, NEval: *nEval, NInst: *nInst,
 				ULambda: *uLam, ELambda: *eLam, EpsG: epsGuess,
 				MaxIter: *maxIter, Parallel: *parallel,
-				PortfolioWorkers: *pfWork, PortfolioRacers: *pfRace,
 			},
 		})
 	}
@@ -123,7 +122,6 @@ func run() int {
 	case "sat":
 		res, err := attack.StandardSATOpt(ctx, locked, orc, attack.SATOptions{
 			MaxIter: *maxIter, Tracer: tracer,
-			PortfolioWorkers: *pfWork, PortfolioRacers: *pfRace,
 		})
 		if err != nil {
 			if !errors.Is(err, attack.ErrInterrupted) {
@@ -132,11 +130,12 @@ func run() int {
 			interrupted = true
 			fmt.Fprintln(os.Stderr, "statsat: interrupted — results below are best-effort")
 		}
-		reportBaseline("standard SAT", res, locked, key)
+		if err := reportBaseline(os.Stdout, "standard SAT", res, locked, key); err != nil {
+			return fail(err)
+		}
 	case "psat":
 		res, err := attack.PSAT(ctx, locked, orc, attack.PSATOptions{
 			Ns: *ns, MaxIter: *maxIter, Seed: *seed, Tracer: tracer,
-			PortfolioWorkers: *pfWork, PortfolioRacers: *pfRace,
 		})
 		if err != nil {
 			if !errors.Is(err, attack.ErrInterrupted) {
@@ -145,7 +144,9 @@ func run() int {
 			interrupted = true
 			fmt.Fprintln(os.Stderr, "statsat: interrupted — results below are best-effort")
 		}
-		reportBaseline("PSAT", res, locked, key)
+		if err := reportBaseline(os.Stdout, "PSAT", res, locked, key); err != nil {
+			return fail(err)
+		}
 	case "statsat":
 		guess := *epsG
 		if *eps > 0 && guess < 0 {
@@ -160,7 +161,6 @@ func run() int {
 			Ns: *ns, NSatis: *nSatis, NEval: *nEval, NInst: *nInst,
 			ULambda: *uLam, ELambda: *eLam, EpsG: guess,
 			MaxTotalIter: *maxIter, Seed: *seed, Parallel: *parallel,
-			PortfolioWorkers: *pfWork, PortfolioRacers: *pfRace,
 			Tracer: tracer,
 		}
 		if *verbose {
@@ -190,13 +190,9 @@ func run() int {
 			}
 		}
 		for i, k := range res.Keys {
-			eq, err := metrics.KeysEquivalent(locked, k.Key, key)
+			marker, err := correctMarker(locked, k.Key, key)
 			if err != nil {
 				return fail(err)
-			}
-			marker := ""
-			if eq {
-				marker = "  (CORRECT)"
 			}
 			fmt.Printf("key %d: FM=%.4f HD=%.4f iters=%d %s%s\n",
 				i, k.FM, k.HD, k.Iterations, formatKey(k.Key), marker)
@@ -235,16 +231,31 @@ func openTrace(path string, verbose bool) (trace.Tracer, func(), error) {
 	return trace.Multi(sinks...), closer, nil
 }
 
-func reportBaseline(name string, res *attack.Result, locked interface {
-	NumKeys() int
-}, _ []bool) {
+// reportBaseline prints a SAT or PSAT outcome to w, marking the key
+// "(CORRECT)" when it is functionally equivalent to the true key.
+func reportBaseline(w io.Writer, name string, res *attack.Result, locked *circuit.Circuit, key []bool) error {
 	if res.Failed || res.Key == nil {
-		fmt.Printf("%s FAILED after %d iterations (%v, %d queries)\n",
+		fmt.Fprintf(w, "%s FAILED after %d iterations (%v, %d queries)\n",
 			name, res.Iterations, res.Duration, res.OracleQueries)
-		return
+		return nil
 	}
-	fmt.Printf("%s: key=%s iterations=%d time=%v queries=%d\n",
-		name, formatKey(res.Key), res.Iterations, res.Duration, res.OracleQueries)
+	marker, err := correctMarker(locked, res.Key, key)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s: key=%s iterations=%d time=%v queries=%d%s\n",
+		name, formatKey(res.Key), res.Iterations, res.Duration, res.OracleQueries, marker)
+	return nil
+}
+
+// correctMarker returns "  (CORRECT)" when got unlocks the same
+// function as the true key, else "".
+func correctMarker(locked *circuit.Circuit, got, key []bool) (string, error) {
+	eq, err := metrics.KeysEquivalent(locked, got, key)
+	if err != nil || !eq {
+		return "", err
+	}
+	return "  (CORRECT)", nil
 }
 
 func loadKey(keyStr, keyFile string, want int) ([]bool, error) {

@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"statsat/internal/attack"
+	"statsat/internal/gen"
+	"statsat/internal/lock"
 )
 
 func TestLoadKeyFromString(t *testing.T) {
@@ -54,5 +61,34 @@ func TestFormatKey(t *testing.T) {
 	}
 	if got := formatKey(nil); got != "" {
 		t.Errorf("formatKey(nil) = %q", got)
+	}
+}
+
+// TestReportBaselineMarksCorrectKey checks the SAT/PSAT report line
+// against ground truth: the true key of an RLL-locked c17 earns the
+// "(CORRECT)" marker, a key with one bit flipped does not.
+func TestReportBaselineMarksCorrectKey(t *testing.T) {
+	l, err := lock.RLL(gen.C17(), 4, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := append([]bool(nil), l.Key...)
+	wrong[0] = !wrong[0]
+	for _, tc := range []struct {
+		name string
+		key  []bool
+		want bool
+	}{
+		{"true key", l.Key, true},
+		{"flipped bit", wrong, false},
+	} {
+		var buf bytes.Buffer
+		res := &attack.Result{Key: tc.key, Iterations: 3}
+		if err := reportBaseline(&buf, "standard SAT", res, l.Circuit, l.Key); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(buf.String(), "(CORRECT)"); got != tc.want {
+			t.Errorf("%s: marker present = %v, want %v in %q", tc.name, got, tc.want, buf.String())
+		}
 	}
 }

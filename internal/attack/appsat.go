@@ -32,10 +32,6 @@ type AppSATOptions struct {
 	MaxIter int
 	// Seed drives the random pattern generator.
 	Seed int64
-	// PortfolioWorkers / PortfolioRacers enable portfolio racing of
-	// the miter solves (internal/portfolio).
-	PortfolioWorkers int
-	PortfolioRacers  int
 	// Tracer, if set, receives structured trace events (the same
 	// schema as the other attacks; see docs/OBSERVABILITY.md).
 	Tracer trace.Tracer
@@ -86,10 +82,7 @@ func AppSAT(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opt
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		scratch: make([]bool, locked.NumGates()),
 	}
-	cfg := engine.Config{
-		Name: "appsat", MaxIter: opts.MaxIter,
-		Attach: portfolioAttach(opts.PortfolioWorkers, opts.PortfolioRacers, eng.Tr, nil),
-	}
+	cfg := engine.Config{Name: "appsat", MaxIter: opts.MaxIter}
 	r, err := finishRun(&res.Result, eng.Run(ctx, cfg, st, &res.Result))
 	if r == nil {
 		return nil, err

@@ -24,7 +24,6 @@ import (
 	"statsat/internal/circuit"
 	"statsat/internal/engine"
 	"statsat/internal/oracle"
-	"statsat/internal/portfolio"
 	"statsat/internal/trace"
 )
 
@@ -52,31 +51,10 @@ type SATOptions struct {
 	// Tracer, if set, receives structured trace events (the same
 	// schema as StatSAT; see docs/OBSERVABILITY.md).
 	Tracer trace.Tracer
-	// PortfolioWorkers / PortfolioRacers enable portfolio racing of
-	// the miter solves (internal/portfolio); <= 1 workers keeps the
-	// attack byte-identical to the sequential path.
-	PortfolioWorkers int
-	PortfolioRacers  int
 	// Checkpoint, if set, receives a progress checkpoint after every
 	// engine Step (the durable-resume boundary; see
 	// docs/ARCHITECTURE.md "Checkpoint contract").
 	Checkpoint engine.CheckpointSink
-}
-
-// portfolioAttach builds the engine Attach hook that registers a
-// baseline's single instance with a fresh portfolio; nil (no hook)
-// when workers <= 1. It also echoes the knobs into oi for the
-// attack_start event, only when racing is actually on.
-func portfolioAttach(workers, racers int, tr *trace.Emitter, oi *trace.OptionsInfo) func(*engine.Instance) {
-	p := portfolio.New(portfolio.Options{Workers: workers, Racers: racers}, tr)
-	if !p.Enabled() {
-		return nil
-	}
-	if oi != nil {
-		oi.PortfolioWorkers = workers
-		oi.PortfolioRacers = racers
-	}
-	return func(inst *engine.Instance) { inst.Port = p.Root(inst.ID, inst.M.S) }
 }
 
 // StandardSAT runs the classic SAT attack against a (deterministic)
@@ -100,11 +78,7 @@ func StandardSATOpt(ctx context.Context, locked *circuit.Circuit, orc oracle.Ora
 	eng := &engine.Engine{Locked: locked, Orc: orc, Tr: trace.NewEmitter(opts.Tracer), Ckpt: opts.Checkpoint}
 	res := &Result{}
 	st := &satStrategy{eng: eng, res: res}
-	oi := &trace.OptionsInfo{MaxIter: maxIter}
-	cfg := engine.Config{
-		Name: "sat", MaxIter: maxIter, Opts: oi,
-		Attach: portfolioAttach(opts.PortfolioWorkers, opts.PortfolioRacers, eng.Tr, oi),
-	}
+	cfg := engine.Config{Name: "sat", MaxIter: maxIter, Opts: &trace.OptionsInfo{MaxIter: maxIter}}
 	return finishRun(res, eng.Run(ctx, cfg, st, res))
 }
 
@@ -171,10 +145,6 @@ type PSATOptions struct {
 	// Tracer, if set, receives structured trace events (the same
 	// schema as StatSAT; see docs/OBSERVABILITY.md).
 	Tracer trace.Tracer
-	// PortfolioWorkers / PortfolioRacers enable portfolio racing of
-	// the miter solves (internal/portfolio).
-	PortfolioWorkers int
-	PortfolioRacers  int
 	// Checkpoint, if set, receives a progress checkpoint after every
 	// engine Step (see docs/ARCHITECTURE.md "Checkpoint contract").
 	Checkpoint engine.CheckpointSink
@@ -209,10 +179,9 @@ func PSAT(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts 
 		eng: eng, res: res, opts: opts,
 		rng: rand.New(rand.NewSource(opts.Seed)),
 	}
-	oi := &trace.OptionsInfo{Ns: opts.Ns, MaxIter: opts.MaxIter}
 	cfg := engine.Config{
-		Name: "psat", MaxIter: opts.MaxIter, Opts: oi,
-		Attach: portfolioAttach(opts.PortfolioWorkers, opts.PortfolioRacers, eng.Tr, oi),
+		Name: "psat", MaxIter: opts.MaxIter,
+		Opts: &trace.OptionsInfo{Ns: opts.Ns, MaxIter: opts.MaxIter},
 	}
 	return finishRun(res, eng.Run(ctx, cfg, st, res))
 	// A wrong committed pattern may make the formulas UNSAT; the next

@@ -39,7 +39,6 @@ import (
 	"statsat/internal/errprop"
 	"statsat/internal/metrics"
 	"statsat/internal/oracle"
-	"statsat/internal/portfolio"
 	"statsat/internal/sat"
 	"statsat/internal/trace"
 )
@@ -83,17 +82,6 @@ type Options struct {
 	// interleave their oracle noise draws; leave false for
 	// deterministic experiments.
 	Parallel bool
-	// PortfolioWorkers enables portfolio solving (internal/portfolio):
-	// up to PortfolioWorkers-1 helper solvers with diverse
-	// configurations race each miter solve and exchange learnt clauses
-	// through a shared pool. Values <= 1 disable racing entirely and
-	// keep runs byte-identical to sequential mode. Unlike Parallel,
-	// racing preserves the DIP trajectory and the accepted keys for
-	// any worker count (helpers only ever contribute UNSAT verdicts).
-	PortfolioWorkers int
-	// PortfolioRacers caps the helper configurations raced per
-	// instance solve (default 3; capped by free worker slots).
-	PortfolioRacers int
 	// Logf, if set, receives progress lines (serialised internally).
 	Logf func(format string, args ...interface{})
 	// Tracer, if set, receives structured trace events for every
@@ -253,9 +241,6 @@ type instance struct {
 	byInput map[string]int // input pattern -> dip index
 	state   instState
 	key     []bool
-	// sib is the instance's portfolio handle (nil outside portfolio
-	// mode); Instance.Port aliases it for the engine's miter solves.
-	sib *portfolio.Sibling
 
 	keyBuf    []byte // repeated-DIP map lookups without a string alloc
 	unspecBuf []int  // unspecified-bit index scratch (handleRepeat)
@@ -326,10 +311,6 @@ type attackRun struct {
 	// query counter.
 	eng *engine.Engine
 
-	// port owns the shared clause pool and racing worker slots; nil
-	// outside portfolio mode (Options.PortfolioWorkers <= 1).
-	port *portfolio.Portfolio
-
 	// tr stamps and forwards trace events; nil (all methods no-op)
 	// when no Tracer is configured.
 	tr *trace.Emitter
@@ -386,19 +367,11 @@ func Attack(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opt
 	}
 	run.tr = trace.NewEmitter(opts.Tracer)
 	run.eng = &engine.Engine{Locked: locked, Orc: run.orc, Tr: run.tr, Ckpt: opts.Checkpoint}
-	run.port = portfolio.New(portfolio.Options{
-		Workers: opts.PortfolioWorkers, Racers: opts.PortfolioRacers,
-	}, run.tr)
-	oi := &trace.OptionsInfo{
+	run.eng.EmitStart("statsat", &trace.OptionsInfo{
 		Ns: opts.Ns, NSatis: opts.NSatis, NEval: opts.NEval, EvalNs: opts.EvalNs,
 		NInst: opts.NInst, ULambda: opts.ULambda, ELambda: opts.ELambda,
 		EpsG: opts.EpsG, MaxIter: opts.MaxTotalIter, Parallel: opts.Parallel,
-	}
-	if run.port.Enabled() {
-		oi.PortfolioWorkers = opts.PortfolioWorkers
-		oi.PortfolioRacers = opts.PortfolioRacers
-	}
-	run.eng.EmitStart("statsat", oi)
+	})
 	startQ := run.orc.Queries()
 	start := time.Now()
 
@@ -670,16 +643,11 @@ func (run *attackRun) newRootInstance() (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := &instance{
+	return &instance{
 		Instance: *ei,
 		parent:   -1,
 		byInput:  map[string]int{},
-	}
-	if run.port.Enabled() {
-		in.sib = run.port.Root(in.ID, in.M.S)
-		in.Port = in.sib
-	}
-	return in, nil
+	}, nil
 }
 
 // step performs one SAT iteration for the instance through the shared
@@ -890,15 +858,6 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 	run.mu.Unlock()
 
 	if child != nil {
-		if run.port.Enabled() {
-			// Register the fork with the clause pool between the clone
-			// and the diverging pins: Fork bumps the global epoch both
-			// bases adopt, so the pins added just below carry a
-			// watermark that keeps them (and everything derived from
-			// them) from crossing between the siblings.
-			child.sib = in.sib.Fork(child.ID, child.M.S)
-			child.Port = child.sib
-		}
 		// eq. 5: pick j_dup = argmax U if that max exceeds U_lambda,
 		// else argmax E.
 		j := argmaxAt(d.u, unspec)

@@ -106,27 +106,6 @@ type Instance struct {
 	KS *cnf.KeySolver
 	// Iterations counts DIP iterations completed by this instance.
 	Iterations int
-	// Port, when non-nil, overrides how Step solves the miter — the
-	// portfolio races helper configurations against M.S through it
-	// (internal/portfolio). Nil keeps the plain sequential solve.
-	Port MiterSolver
-}
-
-// MiterSolver is Step's pluggable miter-solve: given the iteration's
-// context it returns the miter verdict, with any Sat model left in
-// Instance.M.S (the portfolio contract: only the base solver may
-// produce models, so Instance.M.Input() stays valid either way).
-type MiterSolver interface {
-	Solve(ctx context.Context) sat.Status
-}
-
-// solveMiter dispatches one miter solve through the portfolio override
-// when present.
-func (inst *Instance) solveMiter(ctx context.Context) sat.Status {
-	if inst.Port != nil {
-		return inst.Port.Solve(ctx)
-	}
-	return inst.M.S.SolveCtx(ctx)
 }
 
 // Strategy is the attack-specific part of the loop.
@@ -182,7 +161,7 @@ func (e *Engine) NewInstance(id int) (*Instance, error) {
 func (e *Engine) Step(ctx context.Context, inst *Instance, st Strategy) (bool, error) {
 	iter := inst.Iterations + 1
 	e.EmitIterStart(inst, iter)
-	switch inst.solveMiter(ctx) {
+	switch inst.M.S.SolveCtx(ctx) {
 	case sat.Unknown:
 		if err := ctx.Err(); err != nil {
 			return true, &InterruptedError{Cause: err, Instance: inst.ID, Iterations: inst.Iterations}
@@ -216,10 +195,6 @@ type Config struct {
 	MaxIter int
 	// Opts echoes the attack parameters on attack_start.
 	Opts *trace.OptionsInfo
-	// Attach, when non-nil, is called on the freshly built instance
-	// before the iteration loop. The baselines use it to register the
-	// instance with a portfolio and install its Port override.
-	Attach func(*Instance)
 }
 
 // Run drives a complete single-instance attack: attack_start, the
@@ -237,9 +212,6 @@ func (e *Engine) Run(ctx context.Context, cfg Config, st Strategy, res *Result) 
 	inst, err := e.NewInstance(0)
 	if err != nil {
 		return err
-	}
-	if cfg.Attach != nil {
-		cfg.Attach(inst)
 	}
 	for inst.Iterations < cfg.MaxIter {
 		done, err := e.Step(ctx, inst, st)

@@ -106,14 +106,9 @@ func NewEstimator(c *circuit.Circuit) *Estimator {
 
 // WireErrorProbs returns, for every gate ID, the probability that the
 // wire's value differs from its deterministic value, for input x, key
-// k and per-gate error probability eps.
-func WireErrorProbs(c *circuit.Circuit, x, k []bool, eps float64) ([]float64, error) {
-	return NewEstimator(c).WireErrorProbs(x, k, eps)
-}
-
-// WireErrorProbs is the buffer-reusing form of the package-level
-// function: the returned slice is the estimator's scratch, valid only
-// until the next call on the same estimator. Copy it to retain it.
+// k and per-gate error probability eps. The returned slice is the
+// estimator's scratch, valid only until the next call on the same
+// estimator. Copy it to retain it.
 func (est *Estimator) WireErrorProbs(x, k []bool, eps float64) ([]float64, error) {
 	if err := est.check(eps); err != nil {
 		return nil, err
@@ -196,15 +191,10 @@ func (est *Estimator) propagate(ops []estOp, eps float64) {
 	}
 }
 
-// OutputBERs returns the per-output BER estimate for input x and key k
-// under gate error eps (the attacker's E vector of §IV-C for one
-// candidate key).
-func OutputBERs(c *circuit.Circuit, x, k []bool, eps float64) ([]float64, error) {
-	return NewEstimator(c).OutputBERsInto(nil, x, k, eps)
-}
-
-// OutputBERsInto computes the per-output BER estimate into dst (which
-// backs the result when cap-sufficient; nil allocates).
+// OutputBERsInto computes the per-output BER estimate for input x and
+// key k under gate error eps (the attacker's E vector of §IV-C for one
+// candidate key) into dst, which backs the result when cap-sufficient
+// (nil allocates).
 func (est *Estimator) OutputBERsInto(dst []float64, x, k []bool, eps float64) ([]float64, error) {
 	p, err := est.WireErrorProbs(x, k, eps)
 	if err != nil {
@@ -222,18 +212,13 @@ func (est *Estimator) OutputBERsInto(dst []float64, x, k []bool, eps float64) ([
 	return dst, nil
 }
 
-// AverageOutputBERs averages OutputBERs over several candidate keys,
-// exactly as §IV-C prescribes: the satisfying keys of the previous
-// DIPs each yield a BER estimate; their mean is the E used for
-// thresholding. Returns an error if keys is empty.
-func AverageOutputBERs(c *circuit.Circuit, x []bool, keys [][]bool, eps float64) ([]float64, error) {
-	return NewEstimator(c).AverageOutputBERs(x, keys, eps)
-}
-
-// AverageOutputBERs is the buffer-reusing form: the per-key wire
-// probabilities live in the estimator's scratch, so only the returned
-// averaged vector is allocated (it is freshly allocated on every call
-// because callers retain it per DIP).
+// AverageOutputBERs averages the per-output BER estimate over several
+// candidate keys, exactly as §IV-C prescribes: the satisfying keys of
+// the previous DIPs each yield a BER estimate; their mean is the E
+// used for thresholding. Returns an error if keys is empty. The
+// per-key wire probabilities live in the estimator's scratch, so only
+// the returned averaged vector is allocated (it is freshly allocated
+// on every call because callers retain it per DIP).
 //
 // The key-independent part of the circuit is evaluated once for x;
 // each key then re-evaluates only the gates downstream of a key input.

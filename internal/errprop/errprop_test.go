@@ -16,7 +16,7 @@ func TestSingleBufGate(t *testing.T) {
 	b := c.AddGate(circuit.Buf, "b", a)
 	c.AddOutput(b, "")
 	const eps = 0.2
-	e, err := OutputBERs(c, []bool{true}, nil, eps)
+	e, err := NewEstimator(c).OutputBERsInto(nil, []bool{true}, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestTwoBufChain(t *testing.T) {
 	b2 := c.AddGate(circuit.Buf, "b2", b1)
 	c.AddOutput(b2, "")
 	const eps = 0.1
-	e, err := OutputBERs(c, []bool{false}, nil, eps)
+	e, err := NewEstimator(c).OutputBERsInto(nil, []bool{false}, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAndGateMasking(t *testing.T) {
 	g := c.AddGate(circuit.And, "g", ba, bb)
 	c.AddOutput(g, "")
 	const eps = 0.2
-	e, err := OutputBERs(c, []bool{false, false}, nil, eps)
+	e, err := NewEstimator(c).OutputBERsInto(nil, []bool{false, false}, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAndGateMasking(t *testing.T) {
 		t.Errorf("BER = %v, want %v", e[0], want)
 	}
 	// With inputs (1,1) a single flip changes the output: q = 1-(1-eps)².
-	e2, _ := OutputBERs(c, []bool{true, true}, nil, eps)
+	e2, _ := NewEstimator(c).OutputBERsInto(nil, []bool{true, true}, nil, eps)
 	q2 := 1 - (1-eps)*(1-eps)
 	want2 := q2*(1-eps) + (1-q2)*eps
 	if math.Abs(e2[0]-want2) > 1e-12 {
@@ -86,7 +86,7 @@ func TestXorAlwaysPropagates(t *testing.T) {
 	c.AddOutput(g, "")
 	const eps = 0.15
 	for _, in := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-		e, err := OutputBERs(c, in, nil, eps)
+		e, err := NewEstimator(c).OutputBERsInto(nil, in, nil, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestXorAlwaysPropagates(t *testing.T) {
 
 func TestEpsZeroGivesZero(t *testing.T) {
 	c := gen.C17()
-	e, err := OutputBERs(c, []bool{true, false, true, false, true}, nil, 0)
+	e, err := NewEstimator(c).OutputBERsInto(nil, []bool{true, false, true, false, true}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestEpsZeroGivesZero(t *testing.T) {
 
 func TestEpsRangeError(t *testing.T) {
 	c := gen.C17()
-	if _, err := OutputBERs(c, []bool{true, false, true, false, true}, nil, -0.1); err == nil {
+	if _, err := NewEstimator(c).OutputBERsInto(nil, []bool{true, false, true, false, true}, nil, -0.1); err == nil {
 		t.Error("want error for negative eps")
 	}
-	if _, err := OutputBERs(c, []bool{true, false, true, false, true}, nil, 1.1); err == nil {
+	if _, err := NewEstimator(c).OutputBERsInto(nil, []bool{true, false, true, false, true}, nil, 1.1); err == nil {
 		t.Error("want error for eps>1")
 	}
 }
@@ -152,7 +152,7 @@ func TestMonteCarloAgreementTree(t *testing.T) {
 			}
 		}
 		mc := float64(wrong) / trials
-		e, err := OutputBERs(c, x, nil, eps)
+		e, err := NewEstimator(c).OutputBERsInto(nil, x, nil, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestMonteCarloRoughAgreementDAG(t *testing.T) {
 			}
 		}
 	}
-	e, err := OutputBERs(c, x, nil, eps)
+	e, err := NewEstimator(c).OutputBERsInto(nil, x, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestBERsMonotoneInDepthOnChain(t *testing.T) {
 			w = c.AddGate(circuit.Buf, "", w)
 		}
 		c.AddOutput(w, "")
-		e, err := OutputBERs(c, []bool{true}, nil, 0.05)
+		e, err := NewEstimator(c).OutputBERsInto(nil, []bool{true}, nil, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestProbabilitiesWithinUnitInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 5; trial++ {
 		x := c.RandomInputs(rng)
-		p, err := WireErrorProbs(c, x, nil, 0.1)
+		p, err := NewEstimator(c).WireErrorProbs(x, nil, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +242,11 @@ func TestAverageOutputBERs(t *testing.T) {
 	// Fake "locked" circuit: reuse the same netlist with zero keys; the
 	// average over identical keys must equal a single estimate.
 	x := orig.RandomInputs(rng)
-	single, err := OutputBERs(orig, x, nil, 0.03)
+	single, err := NewEstimator(orig).OutputBERsInto(nil, x, nil, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := AverageOutputBERs(orig, x, [][]bool{nil, nil, nil}, 0.03)
+	avg, err := NewEstimator(orig).AverageOutputBERs(x, [][]bool{nil, nil, nil}, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAverageOutputBERs(t *testing.T) {
 			t.Errorf("output %d: avg %v vs single %v", i, avg[i], single[i])
 		}
 	}
-	if _, err := AverageOutputBERs(orig, x, nil, 0.03); err == nil {
+	if _, err := NewEstimator(orig).AverageOutputBERs(x, nil, 0.03); err == nil {
 		t.Error("want error for empty key set")
 	}
 }
@@ -371,7 +371,7 @@ func TestFaninLimit(t *testing.T) {
 	g := c.AddGate(circuit.And, "g", ins...)
 	c.AddOutput(g, "")
 	x := make([]bool, MaxEnumFanin+1)
-	if _, err := OutputBERs(c, x, nil, 0.1); err == nil {
+	if _, err := NewEstimator(c).OutputBERsInto(nil, x, nil, 0.1); err == nil {
 		t.Error("want error for fanin beyond enumeration limit")
 	}
 }
@@ -390,7 +390,7 @@ func TestHighBEROutputsExist(t *testing.T) {
 		w = c.AddGate(circuit.Not, "", w)
 	}
 	c.AddOutput(w, "")
-	e, err := OutputBERs(c, []bool{false}, nil, 0.2)
+	e, err := NewEstimator(c).OutputBERsInto(nil, []bool{false}, nil, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,14 +406,14 @@ func BenchmarkOutputBERsScale8(b *testing.B) {
 	x := c.RandomInputs(rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := OutputBERs(c, x, nil, 0.0125); err != nil {
+		if _, err := NewEstimator(c).OutputBERsInto(nil, x, nil, 0.0125); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWireErrorProbs measures the package-level convenience path,
-// which pays a fresh Estimator (and its scratch) per call.
+// BenchmarkWireErrorProbs measures a one-off estimate, which pays a
+// fresh Estimator (and its scratch) per call.
 func BenchmarkWireErrorProbs(b *testing.B) {
 	bm, _ := gen.ByName("c3540")
 	c := bm.BuildScaled(8)
@@ -421,7 +421,7 @@ func BenchmarkWireErrorProbs(b *testing.B) {
 	x := c.RandomInputs(rng)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := WireErrorProbs(c, x, nil, 0.0125); err != nil {
+		if _, err := NewEstimator(c).WireErrorProbs(x, nil, 0.0125); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,6 @@ func (GoLeak) Doc() string {
 func (GoLeak) Applies(pkgPath string) bool {
 	return inScope(pkgPath,
 		"statsat/internal/server",
-		"statsat/internal/portfolio",
 		"statsat/internal/exp",
 		"statsat/internal/trace",
 		"statsat/internal/sat",

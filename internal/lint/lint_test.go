@@ -192,7 +192,7 @@ func TestExpandIncludesExamples(t *testing.T) {
 // leak check.
 func TestGoLeakScope(t *testing.T) {
 	c := GoLeak{}
-	for _, path := range []string{"statsat/internal/server", "statsat/internal/portfolio", "statsat/internal/core", "statsat/internal/trace"} {
+	for _, path := range []string{"statsat/internal/server", "statsat/internal/core", "statsat/internal/trace"} {
 		if !c.Applies(path) {
 			t.Errorf("goleak should apply to %s", path)
 		}

@@ -20,7 +20,7 @@ import (
 // condition is understood in both polarities. Blocking under a lock is
 // how the serialised-oracle design deadlocks or convoys: every
 // instance goroutine funnels through lockedOracle.mu, so one blocked
-// holder stalls the whole portfolio.
+// holder stalls every instance.
 type LockScope struct{}
 
 func (LockScope) Name() string { return "lockscope" }

@@ -80,12 +80,6 @@ func ReadFromStreaming(r io.Reader, f Format) (*circuit.Circuit, error) {
 	return nil, fmt.Errorf("netio: unknown format %q", f)
 }
 
-// Read parses a netlist from r in the given format. Deprecated alias
-// kept for existing callers: use ReadFrom.
-func Read(r io.Reader, f Format) (*circuit.Circuit, error) {
-	return ReadFrom(r, f)
-}
-
 // ReadString parses a netlist held in memory (ReadFrom over a string).
 func ReadString(src string, f Format) (*circuit.Circuit, error) {
 	return ReadFrom(strings.NewReader(src), f)

@@ -102,7 +102,7 @@ func TestWriteFileErrors(t *testing.T) {
 }
 
 func TestUnknownFormatErrors(t *testing.T) {
-	if _, err := Read(strings.NewReader(""), "edif"); err == nil {
+	if _, err := ReadFrom(strings.NewReader(""), "edif"); err == nil {
 		t.Error("want read error")
 	}
 	if err := Write(os.Stderr, gen.C17(), "edif"); err == nil {

@@ -74,15 +74,22 @@ type cref uint32
 // unit clause has no reason clause).
 const noRef = ^cref(0)
 
+// Search constants: VSIDS and learnt-clause activity decay, and the
+// Luby restart unit in conflicts.
+const (
+	varDecay    = 0.95
+	claDecay    = 0.999
+	restartBase = 100
+)
+
 // Clause layout in the arena: a clauseHeader-word header followed by
 // the literals. Word 0 packs the size and two flags; the others hold
-// the LBD, the derivation epoch and the float32 activity bits.
+// the LBD and the float32 activity bits.
 const (
 	hdrSize      = 0 // size<<2 | deleted<<1 | learnt
 	hdrLBD       = 1
-	hdrEpoch     = 2
-	hdrAct       = 3
-	clauseHeader = 4
+	hdrAct       = 2
+	clauseHeader = 3
 
 	learntBit  Lit = 1
 	deletedBit Lit = 2
@@ -136,42 +143,12 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	varDecay float64
 	order    heap // max-activity variable heap
 	phase    []lbool
 
-	claInc   float64
-	claDecay float64
-
-	// Fork-epoch tracking for sound clause sharing (docs/SOLVER.md).
-	// epoch stamps clauses added from now on; vepoch records, per
-	// variable, the derivation watermark of its root-level assignment
-	// (conflict analysis skips level-0 literals, so the watermark of a
-	// learnt clause must absorb them here instead).
-	epoch        int32
-	vepoch       []int32
-	analyzeWM    int32 // scratch: watermark of the learnt being derived
-	pendingEpoch int32 // scratch: epoch for the next reason-less root enqueue
-	defaultPhase lbool // initial saved phase for new variables
-
-	// Portfolio hooks: exporter receives every learnt that passes the
-	// size/LBD filter; importer is drained at Solve start and at each
-	// restart boundary. Neither is copied by Clone.
-	exporter     func(lits []Lit, lbd, epoch int32)
-	exportMaxLen int
-	exportMaxLBD int32
-	importer     func() []Import
-
-	// Clause journal for portfolio helper sync: when enabled, every
-	// AddClause call is recorded verbatim (pre-simplification) with its
-	// epoch so a lagging clone can replay it. Not copied by Clone.
-	logging bool
-	log     []LogEntry
+	claInc float64
 
 	okay bool // false once a top-level conflict is established
-
-	// Luby restart state.
-	restartBase int
 
 	// Scratch: conflict analysis, LBD level stamps, clause intake.
 	seen       []byte
@@ -204,8 +181,6 @@ type Statistics struct {
 	Learnt       int64
 	Removed      int64
 	Solves       int64
-	Exported     int64 // learnts handed to the portfolio exporter
-	Imported     int64 // shared clauses accepted from the importer
 }
 
 // Snapshot is a point-in-time view of a solver: current formula size
@@ -231,109 +206,8 @@ func (s *Solver) Snapshot() Snapshot {
 
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{
-		varInc:       1,
-		varDecay:     0.95,
-		claInc:       1,
-		claDecay:     0.999,
-		okay:         true,
-		restartBase:  100,
-		defaultPhase: lFalse,
-	}
+	return &Solver{varInc: 1, claInc: 1, okay: true}
 }
-
-// Config collects the search-strategy knobs a portfolio varies between
-// otherwise-identical racing solvers. Zero values keep the solver's
-// current setting, so Config{} is a no-op.
-type Config struct {
-	// VarDecay is the VSIDS activity decay factor (default 0.95;
-	// smaller = more agile, larger = more focused).
-	VarDecay float64
-	// ClauseDecay is the learnt-clause activity decay (default 0.999).
-	ClauseDecay float64
-	// RestartBase is the Luby restart unit in conflicts (default 100).
-	RestartBase int
-	// PhaseTrue resets the saved phases (and the default for future
-	// variables) to true; the stock solver branches false first.
-	PhaseTrue bool
-}
-
-// SetConfig applies the non-zero knobs. Safe between Solve calls only.
-func (s *Solver) SetConfig(c Config) {
-	if c.VarDecay > 0 {
-		s.varDecay = c.VarDecay
-	}
-	if c.ClauseDecay > 0 {
-		s.claDecay = c.ClauseDecay
-	}
-	if c.RestartBase > 0 {
-		s.restartBase = c.RestartBase
-	}
-	if c.PhaseTrue {
-		s.defaultPhase = lTrue
-		for i := range s.phase {
-			s.phase[i] = lTrue
-		}
-	}
-}
-
-// Epoch returns the solver's current fork epoch (the stamp applied to
-// newly added problem clauses).
-func (s *Solver) Epoch() int32 { return s.epoch }
-
-// SetEpoch advances the fork epoch. Epochs only move forward; a lower
-// value is ignored. Called by the portfolio when an instance forks,
-// before the diverging key-bit pins are added, so those pins (and
-// everything derived from them) carry the new watermark.
-func (s *Solver) SetEpoch(e int32) {
-	if e > s.epoch {
-		s.epoch = e
-	}
-}
-
-// SetExporter installs the learnt-clause export hook: fn is called for
-// every learnt clause with at most maxLen literals and LBD at most
-// maxLBD, with the clause's derivation watermark. The lits slice is
-// only valid for the duration of the call — fn must copy. A nil fn
-// removes the hook.
-func (s *Solver) SetExporter(fn func(lits []Lit, lbd, epoch int32), maxLen int, maxLBD int32) {
-	s.exporter = fn
-	s.exportMaxLen = maxLen
-	s.exportMaxLBD = maxLBD
-}
-
-// SetImporter installs the shared-clause import hook. The solver
-// drains it (adding each clause as a learnt, stamped with its carried
-// epoch) at the start of every Solve call and at each restart
-// boundary. Returned Import slices are treated as read-only.
-func (s *Solver) SetImporter(fn func() []Import) { s.importer = fn }
-
-// Import is one shared clause handed to an importing solver: the
-// literals plus the derivation watermark they carry into the importer.
-type Import struct {
-	Lits  []Lit
-	Epoch int32
-}
-
-// LogEntry is one recorded AddClause call: the original literals
-// (pre-simplification) and the epoch they were stamped with.
-type LogEntry struct {
-	Lits  []Lit
-	Epoch int32
-}
-
-// EnableLog starts journaling AddClause calls so a clone taken earlier
-// can be brought up to date with LogSince + AddClauseEpoch. The log is
-// never copied by Clone; each solver that needs one enables its own.
-func (s *Solver) EnableLog() { s.logging = true }
-
-// LogLen returns the number of journaled AddClause calls.
-func (s *Solver) LogLen() int { return len(s.log) }
-
-// LogSince returns the journal entries from position n onward. The
-// returned slice aliases the journal — callers must not mutate it and
-// must finish with it before the next AddClause on this solver.
-func (s *Solver) LogSince(n int) []LogEntry { return s.log[n:] }
 
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.level) }
@@ -368,8 +242,7 @@ func (s *Solver) lits(cr cref) []Lit {
 	return s.arena[start : start+int(uint32(s.arena[int(cr)+hdrSize])>>2)]
 }
 
-func (s *Solver) lbdOf(cr cref) int32   { return int32(s.arena[int(cr)+hdrLBD]) }
-func (s *Solver) epochOf(cr cref) int32 { return int32(s.arena[int(cr)+hdrEpoch]) }
+func (s *Solver) lbdOf(cr cref) int32 { return int32(s.arena[int(cr)+hdrLBD]) }
 
 func (s *Solver) activityOf(cr cref) float32 {
 	return math.Float32frombits(uint32(s.arena[int(cr)+hdrAct]))
@@ -380,7 +253,7 @@ func (s *Solver) setActivity(cr cref, a float32) {
 }
 
 // alloc appends a clause to the arena (activity 0) and returns its ref.
-func (s *Solver) alloc(lits []Lit, learnt bool, lbd, epoch int32) cref {
+func (s *Solver) alloc(lits []Lit, learnt bool, lbd int32) cref {
 	cr := len(s.arena)
 	if uint64(cr)+clauseHeader+uint64(len(lits)) >= uint64(noRef) {
 		panic("sat: clause arena exceeds 2^32 words")
@@ -389,7 +262,7 @@ func (s *Solver) alloc(lits []Lit, learnt bool, lbd, epoch int32) cref {
 	if learnt {
 		hdr |= learntBit
 	}
-	s.arena = append(s.arena, hdr, Lit(lbd), Lit(epoch), 0)
+	s.arena = append(s.arena, hdr, Lit(lbd), 0)
 	s.arena = append(s.arena, lits...)
 	return cref(cr)
 }
@@ -401,8 +274,7 @@ func (s *Solver) NewVar() Var {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noRef)
 	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, s.defaultPhase)
-	s.vepoch = append(s.vepoch, 0)
+	s.phase = append(s.phase, lFalse) // branch false first
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v, &s.activity)
@@ -426,38 +298,18 @@ func (s *Solver) Okay() bool { return s.okay }
 // called before or between Solve calls; the solver backtracks to the
 // root level first. Returns false if the solver became inconsistent.
 func (s *Solver) AddClause(lits ...Lit) bool {
-	if s.logging {
-		s.log = append(s.log, LogEntry{Lits: append([]Lit(nil), lits...), Epoch: s.epoch})
-	}
-	return s.addClauseEpoch(lits, s.epoch, false)
-}
-
-// AddClauseEpoch adds a problem clause stamped with an explicit
-// derivation epoch instead of the solver's current one. Portfolio
-// helper sync uses it to replay a sibling's journal with the epochs
-// the originals were recorded at.
-func (s *Solver) AddClauseEpoch(epoch int32, lits ...Lit) bool {
-	return s.addClauseEpoch(lits, epoch, false)
-}
-
-func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 	if !s.okay {
 		return false
 	}
 	s.cancelUntil(0)
-	// The stored clause's watermark starts at the caller's epoch and
-	// absorbs the derivation epochs of any root-false literals dropped
-	// below: the simplified clause is implied by the original PLUS
-	// those root facts, so soundness in a sibling requires all of them.
-	wm := baseEpoch
 	// Sort and dedup; drop tautologies and false literals. The literals
 	// are staged in a reusable buffer; alloc copies them into the arena.
-	lits := append(s.addBuf[:0], in...)
-	s.addBuf = lits
-	slices.Sort(lits)
-	out := lits[:0]
+	buf := append(s.addBuf[:0], lits...)
+	s.addBuf = buf
+	slices.Sort(buf)
+	out := buf[:0]
 	var prev Lit = -1
-	for _, l := range lits {
+	for _, l := range buf {
 		if int(l.Var()) >= len(s.level) {
 			panic(fmt.Sprintf("sat: clause uses unallocated variable %d", l.Var()))
 		}
@@ -474,9 +326,6 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 			}
 		case lFalse:
 			if s.level[l.Var()] == 0 {
-				if ve := s.vepoch[l.Var()]; ve > wm {
-					wm = ve
-				}
 				prev = l
 				continue // drop root-false literal
 			}
@@ -489,7 +338,6 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		s.okay = false
 		return false
 	case 1:
-		s.pendingEpoch = wm
 		if !s.enqueue(out[0], noRef) {
 			s.okay = false
 			return false
@@ -500,44 +348,9 @@ func (s *Solver) addClauseEpoch(in []Lit, baseEpoch int32, learnt bool) bool {
 		}
 		return true
 	}
-	var lbd int32
-	if learnt {
-		lbd = int32(len(out)) // pessimistic: imported clauses are reducible
-	}
-	cr := s.alloc(out, learnt, lbd, wm)
-	if learnt {
-		s.learnts = append(s.learnts, cr)
-	} else {
-		s.clauses = append(s.clauses, cr)
-	}
+	cr := s.alloc(out, false, 0)
+	s.clauses = append(s.clauses, cr)
 	s.attach(cr)
-	return true
-}
-
-// importPending drains the importer, adding each shared clause as a
-// learnt. Returns false when an import exposed top-level inconsistency
-// (the formula is then Unsat — shared clauses are implied, so a
-// contradiction with them is a contradiction of the formula itself).
-func (s *Solver) importPending() bool {
-	if s.importer == nil {
-		return true
-	}
-	for _, im := range s.importer() {
-		ok := true
-		for _, l := range im.Lits {
-			if int(l.Var()) >= len(s.level) {
-				ok = false // publisher's var space ran ahead of ours; skip
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		s.Stats.Imported++
-		if !s.addClauseEpoch(im.Lits, im.Epoch, true) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -579,25 +392,6 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 	s.value[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
-	if len(s.trailLim) == 0 {
-		// Root-level assignment: record its derivation watermark, since
-		// conflict analysis silently skips level-0 literals and must be
-		// able to account for them in learnt-clause epochs. Reason-less
-		// root enqueues (unit clauses, unit learnts) pass their epoch
-		// via pendingEpoch.
-		e := s.pendingEpoch
-		if from != noRef {
-			e = s.epochOf(from)
-			for _, q := range s.lits(from) {
-				if q.Var() != v {
-					if ve := s.vepoch[q.Var()]; ve > e {
-						e = ve
-					}
-				}
-			}
-		}
-		s.vepoch[v] = e
-	}
 	s.trail = append(s.trail, l)
 	return true
 }
@@ -722,12 +516,8 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	counter := 0
-	s.analyzeWM = 0
 	for {
 		s.bumpClause(confl)
-		if e := s.epochOf(confl); e > s.analyzeWM {
-			s.analyzeWM = e
-		}
 		lits := s.lits(confl)
 		if p != -1 {
 			lits = lits[1:]
@@ -741,12 +531,6 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 					counter++
 				} else {
 					learnt = append(learnt, q)
-				}
-			} else if s.level[v] == 0 {
-				// Implicitly resolved against a root fact: fold its
-				// derivation epoch into the learnt's watermark.
-				if ve := s.vepoch[v]; ve > s.analyzeWM {
-					s.analyzeWM = ve
 				}
 			}
 		}
@@ -803,30 +587,18 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 
 // redundant reports whether literal l in a learnt clause is implied by
 // the other marked literals via its reason clause (one-step check).
-// A successful drop resolves the learnt against the reason clause (and
-// any root facts it mentions), so the watermark absorbs their epochs.
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
 	if r == noRef {
 		return false
 	}
-	wm := s.epochOf(r)
 	for _, q := range s.lits(r) {
-		if q.Var() == l.Var() {
-			continue
-		}
-		if s.level[q.Var()] == 0 {
-			if ve := s.vepoch[q.Var()]; ve > wm {
-				wm = ve
-			}
+		if q.Var() == l.Var() || s.level[q.Var()] == 0 {
 			continue
 		}
 		if s.seen[q.Var()] == 0 {
 			return false
 		}
-	}
-	if wm > s.analyzeWM {
-		s.analyzeWM = wm
 	}
 	return true
 }
@@ -855,21 +627,17 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 
 func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 	s.cancelUntil(btLevel)
-	wm := s.analyzeWM
-	lbd := int32(1)
 	switch len(lits) {
 	case 0:
 		s.okay = false
 		return false
 	case 1:
-		s.pendingEpoch = wm
 		if !s.enqueue(lits[0], noRef) {
 			s.okay = false
 			return false
 		}
 	default:
-		lbd = s.computeLBD(lits)
-		cr := s.alloc(lits, true, lbd, wm)
+		cr := s.alloc(lits, true, s.computeLBD(lits))
 		s.learnts = append(s.learnts, cr)
 		s.Stats.Learnt++
 		s.attach(cr)
@@ -879,12 +647,8 @@ func (s *Solver) recordLearnt(lits []Lit, btLevel int32) bool {
 			return false
 		}
 	}
-	if s.exporter != nil && len(lits) <= s.exportMaxLen && lbd <= s.exportMaxLBD {
-		s.Stats.Exported++
-		s.exporter(lits, lbd, wm)
-	}
-	s.varInc /= s.varDecay
-	s.claInc /= s.claDecay
+	s.varInc /= varDecay
+	s.claInc /= claDecay
 	return true
 }
 
@@ -1027,13 +791,10 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.okay = false
 		return Unsat
 	}
-	if !s.importPending() {
-		return Unsat
-	}
 
 	var conflictsAtStart = s.Stats.Conflicts
 	var restartIdx int64 = 1
-	restartLimit := int64(s.restartBase) * luby(restartIdx)
+	restartLimit := restartBase * luby(restartIdx)
 	conflictsSinceRestart := int64(0)
 	maxLearnts := int64(len(s.clauses))/3 + 1000
 
@@ -1073,15 +834,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if conflictsSinceRestart >= restartLimit {
 			s.Stats.Restarts++
 			restartIdx++
-			restartLimit = int64(s.restartBase) * luby(restartIdx)
+			restartLimit = restartBase * luby(restartIdx)
 			conflictsSinceRestart = 0
 			s.cancelUntil(int32(s.countAssumptionLevels(assumptions)))
-			// Restart boundary: fold in clauses shared by the portfolio
-			// (importPending backtracks to root; the decision loop
-			// re-asserts the assumptions).
-			if !s.importPending() {
-				return Unsat
-			}
 			continue
 		}
 
@@ -1164,11 +919,8 @@ func (s *Solver) ModelLit(l Lit) bool {
 }
 
 // Clone returns a deep copy of the solver: clauses, learnt clauses,
-// activities, phases, epochs and statistics. The clone can evolve
-// completely independently (StatSAT instance duplication relies on
-// this). Portfolio bindings — exporter, importer, clause journal — are
-// deliberately NOT copied: pool membership is per-solver and each
-// clone that wants one registers its own (docs/SOLVER.md).
+// activities, phases and statistics. The clone can evolve completely
+// independently (StatSAT instance duplication relies on this).
 //
 // Clause refs are arena offsets, so the clause store, both clause
 // lists, the reasons and the watch lists copy verbatim.
@@ -1176,11 +928,7 @@ func (s *Solver) Clone() *Solver {
 	s.cancelUntil(0)
 	n := New()
 	n.okay = s.okay
-	n.varInc, n.varDecay = s.varInc, s.varDecay
-	n.claInc, n.claDecay = s.claInc, s.claDecay
-	n.restartBase = s.restartBase
-	n.defaultPhase = s.defaultPhase
-	n.epoch = s.epoch
+	n.varInc, n.claInc = s.varInc, s.claInc
 	n.ConflictBudget = s.ConflictBudget
 	n.Stats = s.Stats
 
@@ -1194,7 +942,6 @@ func (s *Solver) Clone() *Solver {
 	n.qhead = s.qhead
 	n.activity = slices.Clone(s.activity)
 	n.phase = slices.Clone(s.phase)
-	n.vepoch = slices.Clone(s.vepoch)
 	n.seen = make([]byte, len(s.seen))
 	n.model = slices.Clone(s.model)
 

@@ -27,6 +27,25 @@ func lits(s *Solver, xs ...int) []Lit {
 	return out
 }
 
+// TestDefaultPhaseFalse pins the fixed initial phase: with nothing to
+// propagate, every variable — including one allocated after a solve —
+// is decided false.
+func TestDefaultPhaseFalse(t *testing.T) {
+	s, vars := mk(3)
+	if s.Solve() != Sat {
+		t.Fatal("empty formula unsat?")
+	}
+	for _, v := range vars {
+		if s.ModelValue(v) {
+			t.Fatalf("var %d decided true, want false", v)
+		}
+	}
+	nv := s.NewVar()
+	if s.Solve() != Sat || s.ModelValue(nv) {
+		t.Error("variable allocated after a solve decided true, want false")
+	}
+}
+
 func TestLitEncoding(t *testing.T) {
 	v := Var(5)
 	p, n := PosLit(v), NegLit(v)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -306,5 +307,44 @@ func TestTornWALTailRecovers(t *testing.T) {
 	st := getStatus(t, hts2.URL, id)
 	if st.State != StateDone || st.Outcome == nil {
 		t.Fatalf("job after torn-tail recovery = %+v", st)
+	}
+}
+
+// TestRebuildIgnoresRetiredRacingOptions replays an admission record
+// as servers that still supported solver racing logged it, with
+// "portfolio_workers" and "portfolio_racers" in the options. Submission
+// refuses those fields (TestAPIErrors), but rebuild decodes logged
+// specs leniently, so the old job still comes back — materialized
+// exactly like the same spec without them.
+func TestRebuildIgnoresRetiredRacingOptions(t *testing.T) {
+	clean, err := json.Marshal(quickSpec("sat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(clean, []byte(`"options":{`),
+		[]byte(`"options":{"portfolio_workers":4,"portfolio_racers":2,`), 1)
+	if bytes.Equal(old, clean) {
+		t.Fatalf("spec JSON has no options object to extend: %s", clean)
+	}
+	rebuild := func(spec []byte) *Job {
+		t.Helper()
+		h := &jobHistory{id: "j1", spec: spec}
+		j, err := h.rebuild(16)
+		if err != nil {
+			t.Fatalf("rebuild(%s): %v", spec, err)
+		}
+		return j
+	}
+	got, want := rebuild(old), rebuild(clean)
+	if !reflect.DeepEqual(got.Spec, want.Spec) {
+		t.Errorf("rebuilt spec = %+v, want %+v", got.Spec, want.Spec)
+	}
+	if got.mat.attack != want.mat.attack || got.mat.circuit != want.mat.circuit ||
+		!reflect.DeepEqual(got.mat.key, want.mat.key) {
+		t.Errorf("materialized %s %+v key %v, want %s %+v key %v",
+			got.mat.attack, got.mat.circuit, got.mat.key, want.mat.attack, want.mat.circuit, want.mat.key)
+	}
+	if got.State() != want.State() {
+		t.Errorf("rebuilt state = %s, want %s", got.State(), want.State())
 	}
 }

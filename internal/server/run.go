@@ -69,7 +69,6 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 			Ns: o.Ns, NSatis: o.NSatis, NEval: o.NEval, NInst: o.NInst,
 			ULambda: o.ULambda, ELambda: o.ELambda, EpsG: epsG,
 			MaxTotalIter: o.MaxIter, Seed: j.Spec.Seed, Parallel: o.Parallel,
-			PortfolioWorkers: o.PortfolioWorkers, PortfolioRacers: o.PortfolioRacers,
 			Tracer: j.tracer(), Checkpoint: j.sinks.ckpt,
 		}
 		res, err := statsat.AttackCtx(ctx, mat.locked, orc, opts)
@@ -98,7 +97,6 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 	case "sat":
 		res, err := statsat.StandardSATOptCtx(ctx, mat.locked, orc, statsat.SATOptions{
 			MaxIter: o.MaxIter, Tracer: j.tracer(), Checkpoint: j.sinks.ckpt,
-			PortfolioWorkers: o.PortfolioWorkers, PortfolioRacers: o.PortfolioRacers,
 		})
 		if res == nil {
 			return nil, err
@@ -107,8 +105,7 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 	case "psat":
 		res, err := statsat.PSATCtx(ctx, mat.locked, orc, statsat.PSATOptions{
 			Ns: o.Ns, MaxIter: o.MaxIter, Seed: j.Spec.Seed, Tracer: j.tracer(),
-			Checkpoint:       j.sinks.ckpt,
-			PortfolioWorkers: o.PortfolioWorkers, PortfolioRacers: o.PortfolioRacers,
+			Checkpoint: j.sinks.ckpt,
 		})
 		if res == nil {
 			return nil, err
@@ -117,8 +114,7 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 	case "appsat":
 		res, err := statsat.AppSATCtx(ctx, mat.locked, orc, statsat.AppSATOptions{
 			MaxIter: o.MaxIter, Seed: j.Spec.Seed, Tracer: j.tracer(),
-			Checkpoint:       j.sinks.ckpt,
-			PortfolioWorkers: o.PortfolioWorkers, PortfolioRacers: o.PortfolioRacers,
+			Checkpoint: j.sinks.ckpt,
 		})
 		if res == nil {
 			return nil, err

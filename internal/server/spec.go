@@ -90,11 +90,6 @@ type SpecOptions struct {
 	EpsG     float64 `json:"epsg,omitempty"`
 	MaxIter  int     `json:"max_iter,omitempty"`
 	Parallel bool    `json:"parallel,omitempty"`
-	// PortfolioWorkers / PortfolioRacers enable portfolio solver
-	// racing for the job (docs/SOLVER.md); <= 1 workers keeps the
-	// sequential path.
-	PortfolioWorkers int `json:"portfolio_workers,omitempty"`
-	PortfolioRacers  int `json:"portfolio_racers,omitempty"`
 }
 
 // attackKinds is the closed set of engines a job may request.

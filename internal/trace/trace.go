@@ -54,12 +54,6 @@ const (
 	// Interrupted records a cancellation or deadline expiry: the run
 	// stopped early and the results that follow are best-effort.
 	Interrupted EventType = "interrupted"
-	// ClauseShared reports the portfolio clause-exchange deltas for one
-	// raced miter solve (emitted only when something moved).
-	ClauseShared EventType = "clause_shared"
-	// RaceWinner records a racing helper configuration beating the base
-	// solver to an UNSAT verdict (portfolio mode only).
-	RaceWinner EventType = "race_winner"
 	// AttackEnd closes the key-finding phase with run totals.
 	AttackEnd EventType = "attack_end"
 	// EvalStart opens the key-evaluation phase (eq. 7-8).
@@ -109,8 +103,6 @@ type Event struct {
 	Eval      *EvalInfo      `json:"eval,omitempty"`
 	Totals    *TotalsInfo    `json:"totals,omitempty"`
 	Interrupt *InterruptInfo `json:"interrupt,omitempty"`
-	Share     *ShareInfo     `json:"share,omitempty"`
-	Race      *RaceInfo      `json:"race,omitempty"`
 }
 
 // CircuitInfo describes the attacked netlist's interface
@@ -135,11 +127,6 @@ type OptionsInfo struct {
 	EpsG     float64 `json:"epsg,omitempty"`
 	MaxIter  int     `json:"max_iter,omitempty"`
 	Parallel bool    `json:"parallel,omitempty"`
-	// PortfolioWorkers / PortfolioRacers echo the portfolio knobs when
-	// racing is enabled (both omitted in sequential mode, keeping
-	// off-mode traces byte-identical).
-	PortfolioWorkers int `json:"portfolio_workers,omitempty"`
-	PortfolioRacers  int `json:"portfolio_racers,omitempty"`
 }
 
 // SolverStats is a point-in-time snapshot of one instance's miter
@@ -155,10 +142,6 @@ type SolverStats struct {
 	LearntTotal  int64 `json:"learnt_total"`
 	Removed      int64 `json:"removed"`
 	Solves       int64 `json:"solves"`
-	// Exported / Imported count portfolio clause exchange; both are
-	// omitted (always zero) outside portfolio mode.
-	Exported int64 `json:"exported,omitempty"`
-	Imported int64 `json:"imported,omitempty"`
 }
 
 // SolverSnapshot captures s's current counters. Call it only from the
@@ -176,8 +159,6 @@ func SolverSnapshot(s *sat.Solver) *SolverStats {
 		LearntTotal:  snap.Learnt,
 		Removed:      snap.Removed,
 		Solves:       snap.Solves,
-		Exported:     snap.Exported,
-		Imported:     snap.Imported,
 	}
 }
 
@@ -272,29 +253,6 @@ type TotalsInfo struct {
 	OracleQueries    int64 `json:"oracle_queries"`
 	Truncated        bool  `json:"truncated,omitempty"`
 	DurationNs       int64 `json:"duration_ns"`
-}
-
-// ShareInfo reports portfolio clause-exchange activity for one raced
-// miter solve (clause_shared).
-type ShareInfo struct {
-	// Exported / Imported are the clauses this instance's solvers
-	// published to and accepted from the shared pool during the solve.
-	Exported int64 `json:"exported"`
-	Imported int64 `json:"imported"`
-	// Pool is the shared pool's total clause count after the solve.
-	Pool int `json:"pool"`
-}
-
-// RaceInfo describes a racing helper beating the base solver
-// (race_winner).
-type RaceInfo struct {
-	// Winner names the winning helper configuration (e.g. "cfg1").
-	Winner string `json:"winner"`
-	// Status is the winning verdict's wire form (always "UNSAT": only
-	// model-free verdicts may be taken from a helper).
-	Status string `json:"status"`
-	// Racers is the number of solvers in the race, base included.
-	Racers int `json:"racers"`
 }
 
 // InterruptInfo describes why a run stopped early (interrupted).

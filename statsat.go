@@ -397,8 +397,6 @@ const (
 	TraceKeyScored    = trace.KeyScored
 	TraceEvalEnd      = trace.EvalEnd
 	TraceInterrupted  = trace.Interrupted
-	TraceClauseShared = trace.ClauseShared
-	TraceRaceWinner   = trace.RaceWinner
 )
 
 // NewJSONLTracer writes one JSON object per event to w (the JSON-lines
