@@ -95,7 +95,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	locked, err := netio.ReadFileStreaming(*in, forced)
+	locked, err := netio.ReadFile(*in, forced)
 	if err != nil {
 		return fail(err)
 	}

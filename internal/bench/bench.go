@@ -9,17 +9,19 @@
 //	name = GATE(op1, op2, ...)
 //
 // Supported gate keywords: BUF/BUFF, NOT/INV, AND, NAND, OR, NOR, XOR,
-// XNOR, MUX. Inputs whose names begin with "keyinput" (the convention
-// of the Subramanyan et al. framework and of locked netlists in the
-// wild) are treated as key inputs; Parse orders them numerically when
-// they carry a numeric suffix so key bit i is keyinput<i>.
+// XNOR, MUX (and DFF, see Parse). Keywords match case-insensitively
+// under ASCII folding only: "inv" is INV, but a non-ASCII letter never
+// folds into a keyword. Inputs whose names begin with "keyinput" (the
+// convention of the Subramanyan et al. framework and of locked
+// netlists in the wild) are treated as key inputs; Parse orders them
+// numerically when they carry a numeric suffix so key bit i is
+// keyinput<i>.
 package bench
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -85,173 +87,6 @@ func Keyword(t circuit.GateType) (string, bool) {
 	return "", false
 }
 
-type rawGate struct {
-	name  string
-	typ   circuit.GateType
-	args  []string
-	line  int
-	isDFF bool
-}
-
-// Parse reads a .bench netlist. The circuit name is taken from the
-// first "# name" comment if present, else left empty.
-func Parse(r io.Reader) (*circuit.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	var (
-		inputs  []string
-		outputs []string
-		gates   []rawGate
-		dffs    []rawGate // state elements, converted to scan I/O
-		name    string
-		lineNo  int
-	)
-	seenDef := map[string]int{} // defined signal -> line
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			if name == "" {
-				c := strings.TrimSpace(line[i+1:])
-				if c != "" && !strings.ContainsAny(c, "=(") {
-					name = strings.Fields(c)[0]
-				}
-			}
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT("):
-			arg, err := parenArg(line, lineNo)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := seenDef[arg]; dup {
-				return nil, &ParseError{lineNo, fmt.Sprintf("signal %q defined twice", arg)}
-			}
-			seenDef[arg] = lineNo
-			inputs = append(inputs, arg)
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT("):
-			arg, err := parenArg(line, lineNo)
-			if err != nil {
-				return nil, err
-			}
-			outputs = append(outputs, arg)
-		default:
-			g, err := parseAssign(line, lineNo)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := seenDef[g.name]; dup {
-				return nil, &ParseError{lineNo, fmt.Sprintf("signal %q defined twice", g.name)}
-			}
-			seenDef[g.name] = lineNo
-			if g.isDFF {
-				dffs = append(dffs, g)
-			} else {
-				gates = append(gates, g)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("bench: read: %w", err)
-	}
-
-	c := circuit.New(name)
-	id := map[string]int{}
-
-	// Split inputs into primary and key inputs; key inputs sorted by
-	// numeric suffix so the key vector layout is stable.
-	var pis, keys []string
-	for _, in := range inputs {
-		if strings.HasPrefix(in, KeyPrefix) {
-			keys = append(keys, in)
-		} else {
-			pis = append(pis, in)
-		}
-	}
-	sort.SliceStable(keys, func(i, j int) bool {
-		return keySuffix(keys[i]) < keySuffix(keys[j])
-	})
-	for _, n := range pis {
-		id[n] = c.AddInput(n)
-	}
-	for _, n := range keys {
-		id[n] = c.AddKey(n)
-	}
-	// Scan-chain model: every flip-flop output is directly
-	// controllable (pseudo primary input).
-	for _, d := range dffs {
-		id[d.name] = c.AddInput(d.name)
-	}
-
-	// Gates may be declared in any order: resolve with a worklist in
-	// dependency order. A simple multi-pass resolution is O(n·passes)
-	// but netlists in the wild are near-topological; fall back to an
-	// explicit error for truly undefined signals.
-	pending := gates
-	for len(pending) > 0 {
-		progressed := false
-		var next []rawGate
-		for _, g := range pending {
-			ready := true
-			for _, a := range g.args {
-				if _, ok := id[a]; !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				next = append(next, g)
-				continue
-			}
-			fan := make([]int, len(g.args))
-			for i, a := range g.args {
-				fan[i] = id[a]
-			}
-			id[g.name] = c.AddGate(g.typ, g.name, fan...)
-			progressed = true
-		}
-		if !progressed {
-			g := next[0]
-			for _, a := range g.args {
-				if _, ok := id[a]; !ok {
-					if _, defined := seenDef[a]; !defined {
-						return nil, &ParseError{g.line, fmt.Sprintf("gate %q uses undefined signal %q", g.name, a)}
-					}
-				}
-			}
-			return nil, &ParseError{g.line, fmt.Sprintf("cyclic definition involving %q", g.name)}
-		}
-		pending = next
-	}
-
-	for _, o := range outputs {
-		gid, ok := id[o]
-		if !ok {
-			return nil, &ParseError{0, fmt.Sprintf("OUTPUT(%s) never defined", o)}
-		}
-		c.AddOutput(gid, o)
-	}
-	// Scan-chain model: every flip-flop data input is directly
-	// observable (pseudo primary output).
-	for _, d := range dffs {
-		gid, ok := id[d.args[0]]
-		if !ok {
-			return nil, &ParseError{d.line, fmt.Sprintf("DFF %q data input %q never defined", d.name, d.args[0])}
-		}
-		c.AddOutput(gid, d.name+"_scanin")
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	return c, nil
-}
-
 // ParseString is Parse over a string.
 func ParseString(s string) (*circuit.Circuit, error) {
 	return Parse(strings.NewReader(s))
@@ -263,60 +98,6 @@ func keySuffix(name string) int {
 		return 1 << 30
 	}
 	return n
-}
-
-func parenArg(line string, lineNo int) (string, error) {
-	open := strings.IndexByte(line, '(')
-	close := strings.LastIndexByte(line, ')')
-	if open < 0 || close < open {
-		return "", &ParseError{lineNo, "malformed parenthesised statement"}
-	}
-	arg := strings.TrimSpace(line[open+1 : close])
-	if arg == "" {
-		return "", &ParseError{lineNo, "empty signal name"}
-	}
-	return arg, nil
-}
-
-func parseAssign(line string, lineNo int) (rawGate, error) {
-	eq := strings.IndexByte(line, '=')
-	if eq < 0 {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("unrecognised statement %q", line)}
-	}
-	name := strings.TrimSpace(line[:eq])
-	if name == "" {
-		return rawGate{}, &ParseError{lineNo, "assignment with empty target"}
-	}
-	rhs := strings.TrimSpace(line[eq+1:])
-	open := strings.IndexByte(rhs, '(')
-	close := strings.LastIndexByte(rhs, ')')
-	if open < 0 || close < open {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("malformed gate expression %q", rhs)}
-	}
-	kw := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-	if kw == dffKeyword {
-		arg := strings.TrimSpace(rhs[open+1 : close])
-		if arg == "" || strings.ContainsRune(arg, ',') {
-			return rawGate{}, &ParseError{lineNo, "DFF takes exactly one data input"}
-		}
-		return rawGate{name: name, args: []string{arg}, line: lineNo, isDFF: true}, nil
-	}
-	typ, ok := gateKeywords[kw]
-	if !ok {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("unknown gate keyword %q", kw)}
-	}
-	var args []string
-	for _, a := range strings.Split(rhs[open+1:close], ",") {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			return rawGate{}, &ParseError{lineNo, "empty operand"}
-		}
-		args = append(args, a)
-	}
-	if n, min, max := len(args), typ.MinFanin(), typ.MaxFanin(); n < min || (max >= 0 && n > max) {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("%s with %d operands", kw, n)}
-	}
-	return rawGate{name: name, typ: typ, args: args, line: lineNo}, nil
 }
 
 // Write serialises a circuit to .bench. Gates without names get

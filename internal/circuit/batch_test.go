@@ -1,11 +1,162 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// evalNoisyBatch is the single-word reference evaluator that the
+// blocked kernels are held to: BatchLanes noisy samples in one
+// bit-parallel pass, one flipStream mask per compiled op in schedule
+// order. It is a deliberately plain restatement of the error model —
+// no pre-drawn mask columns, no width-specialised kernels — so
+// TestEvalNoisyBlockParityWithBatch pins EvalNoisyBlockInto's bits and
+// rng consumption to it. The returned slice holds one word per primary
+// output; scratch, if cap-sufficient (NumGates words), backs the
+// intermediate wires.
+func (c *Circuit) evalNoisyBatch(pi, key []bool, eps float64, rng *rand.Rand, scratch []uint64) []uint64 {
+	if len(pi) != len(c.PIs) || len(key) != len(c.Keys) {
+		panic(fmt.Sprintf("circuit %q: evalNoisyBatch input width mismatch (%d/%d PIs, %d/%d keys)",
+			c.Name, len(pi), len(c.PIs), len(key), len(c.Keys)))
+	}
+	if eps < 0 || eps > 1 {
+		panic(fmt.Sprintf("circuit %q: eps %v out of [0,1]", c.Name, eps))
+	}
+	p := c.program()
+	var w []uint64
+	if cap(scratch) >= len(c.Gates) {
+		w = scratch[:len(c.Gates)]
+	} else {
+		w = make([]uint64, len(c.Gates))
+	}
+	for i, id := range c.PIs {
+		w[id] = broadcast(pi[i])
+	}
+	for i, id := range c.Keys {
+		w[id] = broadcast(key[i])
+	}
+	for _, id := range p.const0 {
+		w[id] = 0
+	}
+	for _, id := range p.const1 {
+		w[id] = ^uint64(0)
+	}
+	// Geometric-skipping state shared across all gates: one virtual
+	// stream of lane slots (64 per gate), advanced once per compiled op
+	// in schedule order.
+	skip := newFlipStream(eps, rng)
+
+	fanin := p.fanin
+	for i := range p.ops {
+		op := &p.ops[i]
+		fan := fanin[op.off : op.off+op.nfan]
+		var v uint64
+		switch op.typ {
+		case Buf:
+			v = w[fan[0]]
+		case Not:
+			v = ^w[fan[0]]
+		case And, Nand:
+			v = ^uint64(0)
+			for _, f := range fan {
+				v &= w[f]
+			}
+			if op.typ == Nand {
+				v = ^v
+			}
+		case Or, Nor:
+			v = 0
+			for _, f := range fan {
+				v |= w[f]
+			}
+			if op.typ == Nor {
+				v = ^v
+			}
+		case Xor, Xnor:
+			v = 0
+			for _, f := range fan {
+				v ^= w[f]
+			}
+			if op.typ == Xnor {
+				v = ^v
+			}
+		case Mux:
+			s := w[fan[0]]
+			v = (^s & w[fan[1]]) | (s & w[fan[2]])
+		default:
+			panic(fmt.Sprintf("circuit %q: unsupported gate type %v", c.Name, op.typ))
+		}
+		if eps > 0 {
+			v ^= skip.nextMask()
+		}
+		w[op.out] = v
+	}
+	out := make([]uint64, len(c.POs))
+	for i, po := range c.POs {
+		out[i] = w[po]
+	}
+	return out
+}
+
+// flipStream produces per-gate 64-bit flip masks where each bit is set
+// independently with probability eps, using geometric skipping over
+// the lane stream.
+type flipStream struct {
+	eps    float64
+	rng    *rand.Rand
+	invLog float64 // 1 / log(1-eps)
+	gap    int64   // lanes until the next flip, relative to the
+	// current gate's lane 0
+}
+
+func newFlipStream(eps float64, rng *rand.Rand) flipStream {
+	fs := flipStream{eps: eps, rng: rng}
+	switch {
+	case eps <= 0:
+		fs.gap = math.MaxInt64
+	case eps >= 1:
+		fs.gap = 0
+		fs.invLog = 0
+	default:
+		fs.invLog = 1 / math.Log1p(-eps)
+		fs.gap = fs.draw()
+	}
+	return fs
+}
+
+// draw samples a geometric gap (number of non-flipped lanes before the
+// next flipped one). drawFlipMasks open-codes this same arithmetic.
+func (fs *flipStream) draw() int64 {
+	u := fs.rng.Float64()
+	for u == 0 {
+		u = fs.rng.Float64()
+	}
+	g := int64(math.Log(u) * fs.invLog)
+	if g < 0 {
+		g = 0
+	}
+	return g
+}
+
+// nextMask returns the flip mask for the next gate (64 lanes).
+func (fs *flipStream) nextMask() uint64 {
+	if fs.eps <= 0 {
+		return 0
+	}
+	if fs.eps >= 1 {
+		return ^uint64(0)
+	}
+	var m uint64
+	for fs.gap < BatchLanes {
+		m |= 1 << uint(fs.gap)
+		fs.gap += 1 + fs.draw()
+	}
+	fs.gap -= BatchLanes
+	return m
+}
 
 func TestEvalNoisyBatchZeroEpsMatchesScalar(t *testing.T) {
 	c := randomCircuit(3, 10, 80, 6)
@@ -13,7 +164,7 @@ func TestEvalNoisyBatchZeroEpsMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		pi := c.RandomInputs(rng)
 		want := c.Eval(pi, nil, nil)
-		words := c.EvalNoisyBatch(pi, nil, 0, rng, nil)
+		words := c.evalNoisyBatch(pi, nil, 0, rng, nil)
 		for i, w := range words {
 			expect := broadcast(want[i])
 			if w != expect {
@@ -30,7 +181,7 @@ func TestEvalNoisyBatchEpsOne(t *testing.T) {
 	b := c.AddGate(Buf, "b", a)
 	c.AddOutput(b, "")
 	rng := rand.New(rand.NewSource(2))
-	words := c.EvalNoisyBatch([]bool{true}, nil, 1, rng, nil)
+	words := c.evalNoisyBatch([]bool{true}, nil, 1, rng, nil)
 	if words[0] != 0 {
 		t.Errorf("BUF(1) with eps=1 must be all-zero lanes, got %016x", words[0])
 	}
@@ -47,7 +198,7 @@ func TestEvalNoisyBatchFlipRate(t *testing.T) {
 	const passes = 4000 // 256k lanes
 	flips := 0
 	for i := 0; i < passes; i++ {
-		w := c.EvalNoisyBatch([]bool{false}, nil, eps, rng, nil)
+		w := c.evalNoisyBatch([]bool{false}, nil, eps, rng, nil)
 		flips += bits.OnesCount64(w[0])
 	}
 	got := float64(flips) / float64(passes*BatchLanes)
@@ -69,7 +220,7 @@ func TestEvalNoisyBatchLanesIndependent(t *testing.T) {
 	const passes = 30000
 	both, either := 0, 0
 	for i := 0; i < passes; i++ {
-		w := c.EvalNoisyBatch([]bool{false}, nil, eps, rng, nil)
+		w := c.evalNoisyBatch([]bool{false}, nil, eps, rng, nil)
 		l0 := w[0]&1 != 0
 		l17 := w[0]&(1<<17) != 0
 		if l0 && l17 {
@@ -107,7 +258,7 @@ func TestEvalNoisyBatchStatisticalAgreementWithScalar(t *testing.T) {
 	batchCounts := make([]int, c.NumPOs())
 	wscratch := make([]uint64, c.NumGates())
 	for i := 0; i < ns/BatchLanes; i++ {
-		words := c.EvalNoisyBatch(pi, nil, eps, rng, wscratch)
+		words := c.evalNoisyBatch(pi, nil, eps, rng, wscratch)
 		for j, w := range words {
 			batchCounts[j] += bits.OnesCount64(w)
 		}
@@ -124,8 +275,8 @@ func TestEvalNoisyBatchStatisticalAgreementWithScalar(t *testing.T) {
 func TestEvalNoisyBatchSeedDeterminism(t *testing.T) {
 	c := randomCircuit(7, 8, 60, 4)
 	pi := make([]bool, 8)
-	a := c.EvalNoisyBatch(pi, nil, 0.05, rand.New(rand.NewSource(9)), nil)
-	b := c.EvalNoisyBatch(pi, nil, 0.05, rand.New(rand.NewSource(9)), nil)
+	a := c.evalNoisyBatch(pi, nil, 0.05, rand.New(rand.NewSource(9)), nil)
+	b := c.evalNoisyBatch(pi, nil, 0.05, rand.New(rand.NewSource(9)), nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different batch words")
@@ -142,7 +293,7 @@ func TestEvalNoisyBatchPanics(t *testing.T) {
 				t.Error("want panic")
 			}
 		}()
-		c.EvalNoisyBatch([]bool{true}, nil, 0.1, rng, nil)
+		c.evalNoisyBatch([]bool{true}, nil, 0.1, rng, nil)
 	})
 	t.Run("eps", func(t *testing.T) {
 		defer func() {
@@ -150,7 +301,7 @@ func TestEvalNoisyBatchPanics(t *testing.T) {
 				t.Error("want panic")
 			}
 		}()
-		c.EvalNoisyBatch(make([]bool, 4), nil, 1.5, rng, nil)
+		c.evalNoisyBatch(make([]bool, 4), nil, 1.5, rng, nil)
 	})
 }
 
@@ -190,27 +341,9 @@ func TestMuxBatchSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, in := range [][]bool{{false, true, false}, {true, true, false}, {false, false, true}, {true, false, true}} {
 		want := broadcast(c.Eval(in, nil, nil)[0])
-		got := c.EvalNoisyBatch(in, nil, 0, rng, nil)[0]
+		got := c.evalNoisyBatch(in, nil, 0, rng, nil)[0]
 		if got != want {
 			t.Errorf("mux(%v): %016x want %016x", in, got, want)
 		}
-	}
-}
-
-func BenchmarkEvalNoisyBatch2k(b *testing.B) { benchEvalNoisyBatch2k(b, 0.01) }
-
-// BenchmarkEvalNoisyBatch2kLowEps is the single-word baseline for the
-// blocked LowEps pair in block_test.go (same regime, 64 samples/op).
-func BenchmarkEvalNoisyBatch2kLowEps(b *testing.B) { benchEvalNoisyBatch2k(b, 0.001) }
-
-func benchEvalNoisyBatch2k(b *testing.B, eps float64) {
-	c := randomCircuit(1, 50, 2000, 20)
-	rng := rand.New(rand.NewSource(2))
-	pi := c.RandomInputs(rng)
-	scratch := make([]uint64, c.NumGates())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.EvalNoisyBatch(pi, nil, eps, rng, scratch)
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"math/rand"
 )
 
+// BatchLanes is the number of independent samples evaluated per
+// block word: one per bit of a machine word.
+const BatchLanes = 64
+
 // MaxBlockWords bounds the block width of EvalNoisyBlockInto: eight
 // 64-bit words per wire, i.e. 512 Monte-Carlo lanes per pass.
 const MaxBlockWords = 8
@@ -52,33 +56,31 @@ func grow(buf []uint64, n int) []uint64 {
 	return make([]uint64, n)
 }
 
-// EvalNoisyBlock is EvalNoisyBlockInto with a freshly allocated output
-// slice.
-func (c *Circuit) EvalNoisyBlock(pi, key []bool, eps float64, rng *rand.Rand, words int, scratch *BlockScratch) []uint64 {
-	return c.EvalNoisyBlockInto(nil, pi, key, eps, rng, words, scratch)
-}
-
 // EvalNoisyBlockInto evaluates words×BatchLanes independent noisy
 // samples of the circuit in one blocked bit-parallel pass: every wire
 // is a row of `words` 64-bit machine words, each bit lane an
 // independent Monte-Carlo sample under the paper's per-gate error
-// model. It generalises EvalNoisyBatchInto (the words=1 case) so a
-// signal-probability query with Ns samples costs
-// ceil(Ns/(64·words)) full-circuit passes instead of ceil(Ns/64).
+// model. All lanes share the same primary-input and key values —
+// exactly the oracle-sampling workload of eq. 1 — so a
+// signal-probability query with Ns samples costs ceil(Ns/(64·words))
+// full-circuit passes instead of Ns. Gate flips are drawn with
+// geometric skipping: the expected number of rng draws per gate and
+// word is 64·eps + O(1), not 64.
 //
 // The result holds NumPOs rows: output i's word k sits at
 // out[i*words+k]. Determinism contract: with the same rng state, word
 // column k of a blocked pass is bit-identical to the k-th of `words`
-// successive EvalNoisyBatchInto calls — the per-word flip streams are
-// drawn in exactly that order — so attack trajectories (keys, DIPs,
+// successive single-word passes — the per-word flip streams are drawn
+// in exactly that order — so attack trajectories (keys, DIPs,
 // iteration and oracle-query counts) are independent of the block
-// width. The parity tests in block_test.go enforce this.
+// width. block_test.go checks this against the single-word reference
+// evaluator kept in batch_test.go.
 //
 // out, if cap-sufficient (NumPOs·words), backs the result; scratch may
 // be nil (allocates internally) and is otherwise reused across calls.
 func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, rng *rand.Rand, words int, scratch *BlockScratch) []uint64 {
 	if len(pi) != len(c.PIs) || len(key) != len(c.Keys) {
-		panic(fmt.Sprintf("circuit %q: EvalNoisyBlock input width mismatch (%d/%d PIs, %d/%d keys)",
+		panic(fmt.Sprintf("circuit %q: EvalNoisyBlockInto input width mismatch (%d/%d PIs, %d/%d keys)",
 			c.Name, len(pi), len(c.PIs), len(key), len(c.Keys)))
 	}
 	if eps < 0 || eps > 1 {
@@ -134,15 +136,15 @@ func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, 
 // drawFlipMasks fills one flip-mask column per block word: bit l of
 // masks[i*words+k] says whether op i's lane l flips in word k (row
 // major — one contiguous row per op, which is what the dense apply
-// loop in the eval kernels reads). Rather than asking a flipStream
-// for every (op, word) mask — most of which are zero at the small eps
-// values the paper studies — it clears the whole array once (a
-// memclr) and then walks each column's flip events directly, jumping
-// from absolute lane position to absolute lane position. The rng draw
-// sequence is exactly flipStream's (one geometric draw per flip
-// event, in stream order, leftover gap discarded at the end of the
-// column), so the masks are bit-identical to `words` successive
-// nextMask sweeps; only the per-op call and loop overhead disappears.
+// loop in the eval kernels reads). Rather than producing a mask per
+// (op, word) — most of which are zero at the small eps values the
+// paper studies — it clears the whole array once (a memclr) and then
+// walks each column's flip events directly, jumping from absolute lane
+// position to absolute lane position. The rng draw sequence is one
+// geometric draw per flip event, in stream order, with the leftover
+// gap discarded at the end of the column: exactly the per-gate flip
+// stream of the single-word reference evaluator in batch_test.go,
+// which the parity tests hold it to.
 func drawFlipMasks(masks []uint64, nops, words int, eps float64, rng *rand.Rand) {
 	if eps >= 1 {
 		fill(masks, ^uint64(0))
@@ -152,12 +154,11 @@ func drawFlipMasks(masks []uint64, nops, words int, eps float64, rng *rand.Rand)
 		masks[i] = 0
 	}
 	limit := int64(nops) * BatchLanes
-	// Open-coded flipStream: the geometric draw below is step-for-step
-	// flipStream.draw (same uniforms, same log, same truncation and
-	// clamp), with one initial draw per column and one more after every
-	// flip, exactly as nextMask would issue them. Hand-inlining it here
-	// matters because draw() is past the compiler's inline budget and
-	// the call overhead is paid once per flip event.
+	// The geometric draw is open-coded (uniform in (0,1], log, truncate,
+	// clamp at zero), with one initial draw per column and one more
+	// after every flip. Keeping it inline matters because a helper would
+	// sit past the compiler's inline budget and the call overhead would
+	// be paid once per flip event.
 	invLog := 1 / math.Log1p(-eps)
 	for k := 0; k < words; k++ {
 		pos := int64(-1)
@@ -183,6 +184,13 @@ func fill(row []uint64, v uint64) {
 	for k := range row {
 		row[k] = v
 	}
+}
+
+func broadcast(b bool) uint64 {
+	if b {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // evalOps runs the compiled schedule over wire rows of `words` words.
@@ -300,8 +308,7 @@ func evalOpsGeneric(p *evalProg, w, masks []uint64, words int) {
 }
 
 // evalOps1 is the single-word kernel: every wire row is one machine
-// word held in a register through the op, exactly the shape of the
-// EvalNoisyBatchInto loop.
+// word held in a register through the op.
 func evalOps1(p *evalProg, w, masks []uint64) {
 	fanin := p.fanin
 	for i := range p.ops {

@@ -18,7 +18,7 @@ func TestEvalNoisyBlockParityWithBatch(t *testing.T) {
 			var scratch BlockScratch
 			blk := c.EvalNoisyBlockInto(nil, pi, nil, eps, rngA, words, &scratch)
 			for k := 0; k < words; k++ {
-				ref := c.EvalNoisyBatch(pi, nil, eps, rngB, nil)
+				ref := c.evalNoisyBatch(pi, nil, eps, rngB, nil)
 				for i := range ref {
 					if blk[i*words+k] != ref[i] {
 						t.Fatalf("eps=%v words=%d: output %d word %d differs: %016x vs %016x",
@@ -65,7 +65,7 @@ func TestEvalNoisyBlockZeroEpsMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		pi := c.RandomInputs(rng)
 		want := c.Eval(pi, nil, nil)
-		blk := c.EvalNoisyBlock(pi, nil, 0, rng, 4, nil)
+		blk := c.EvalNoisyBlockInto(nil, pi, nil, 0, rng, 4, nil)
 		for i, b := range want {
 			for k := 0; k < 4; k++ {
 				w := blk[i*4+k]
@@ -91,10 +91,10 @@ func TestEvalNoisyBlockPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("width", func() { c.EvalNoisyBlock([]bool{true, false}, nil, 0.1, rng, 2, nil) })
-	expectPanic("eps", func() { c.EvalNoisyBlock([]bool{true}, nil, 1.5, rng, 2, nil) })
-	expectPanic("words-low", func() { c.EvalNoisyBlock([]bool{true}, nil, 0.1, rng, 0, nil) })
-	expectPanic("words-high", func() { c.EvalNoisyBlock([]bool{true}, nil, 0.1, rng, MaxBlockWords+1, nil) })
+	expectPanic("width", func() { c.EvalNoisyBlockInto(nil, []bool{true, false}, nil, 0.1, rng, 2, nil) })
+	expectPanic("eps", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 1.5, rng, 2, nil) })
+	expectPanic("words-low", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 0.1, rng, 0, nil) })
+	expectPanic("words-high", func() { c.EvalNoisyBlockInto(nil, []bool{true}, nil, 0.1, rng, MaxBlockWords+1, nil) })
 }
 
 func TestDefaultBlockWords(t *testing.T) {
@@ -141,8 +141,8 @@ func benchEvalNoisyBlock2k(b *testing.B, eps float64, words int) {
 	for i := 0; i < b.N; i++ {
 		out = c.EvalNoisyBlockInto(out, pi, nil, eps, rng, words, &scratch)
 	}
-	// words × 64 lanes per iteration: samples/op for comparison with
-	// BenchmarkEvalNoisyBatch2k (64 samples/op).
+	// words × 64 lanes per iteration: samples/op for comparison across
+	// block widths.
 	b.ReportMetric(float64(words*BatchLanes), "samples/op")
 }
 

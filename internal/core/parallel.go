@@ -11,15 +11,11 @@ import (
 // instance goroutines can share the activated chip. This matches the
 // physical reality: the attacker owns one chip and queries it
 // sequentially; parallelism buys concurrent SAT solving and BER
-// estimation, not concurrent silicon.
+// estimation, not concurrent silicon. It blocks exactly when the inner
+// oracle does (oracle.Blocks).
 type lockedOracle struct {
 	mu    sync.Mutex
 	inner oracle.Oracle
-	// batch is inner's BatchQuerier view, stored once at wrap time so
-	// QueryBatch cannot panic on a mismatched dynamic type later; it
-	// is non-nil exactly when wrapOracle returned *lockedOracle
-	// directly (the batch-capable path).
-	batch oracle.BatchQuerier
 }
 
 func (o *lockedOracle) Query(x []bool) []bool {
@@ -28,14 +24,20 @@ func (o *lockedOracle) Query(x []bool) []bool {
 	return o.inner.Query(x)
 }
 
-func (o *lockedOracle) QueryBatch(x []bool) []uint64 {
+func (o *lockedOracle) QueryBlock(x []bool, words int) []uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	// The inner oracle reuses its output buffer across calls
-	// (oracle.BatchQuerier contract); the caller reads the words after
+	blq, _ := oracle.Blocks(o.inner)
+	// The inner oracle reuses its block buffer across calls
+	// (oracle.BlockQuerier contract); the caller reads the words after
 	// the lock is released, so hand out a private copy — otherwise a
 	// concurrent instance's next pass would overwrite them mid-read.
-	return append([]uint64(nil), o.batch.QueryBatch(x)...)
+	return append([]uint64(nil), blq.QueryBlock(x, words)...)
+}
+
+func (o *lockedOracle) BlockWords() int {
+	_, w := oracle.Blocks(o.inner)
+	return w
 }
 
 func (o *lockedOracle) NumInputs() int  { return o.inner.NumInputs() }
@@ -59,49 +61,10 @@ func (o *lockedOracle) NoiseDraws() uint64 {
 	return 0
 }
 
-// blockLockedOracle extends lockedOracle with the blocked sampling
-// view, so instances sharing the chip keep the wide-pass fast path
-// (oracle.SignalProbs prefers BlockQuerier when present).
-type blockLockedOracle struct {
-	*lockedOracle
-	block oracle.BlockQuerier
-}
-
-func (o *blockLockedOracle) QueryBlock(x []bool, words int) []uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// Copy under the lock for the same reason QueryBatch does: the
-	// inner oracle's block buffer is reused across calls, and the
-	// caller reads the words after the lock is released.
-	return append([]uint64(nil), o.block.QueryBlock(x, words)...)
-}
-
-func (o *blockLockedOracle) BlockWords() int { return o.block.BlockWords() }
-
-// scalarLockedOracle is the wrapper for oracles without QueryBatch; it
-// deliberately lacks the BatchQuerier method so SignalProbs falls back
-// to the scalar path.
-type scalarLockedOracle struct{ lo *lockedOracle }
-
-func (o scalarLockedOracle) Query(x []bool) []bool { return o.lo.Query(x) }
-func (o scalarLockedOracle) NumInputs() int        { return o.lo.NumInputs() }
-func (o scalarLockedOracle) NumOutputs() int       { return o.lo.NumOutputs() }
-func (o scalarLockedOracle) Queries() int64        { return o.lo.Queries() }
-func (o scalarLockedOracle) NoiseDraws() uint64    { return o.lo.NoiseDraws() }
-
-// wrapOracle returns a goroutine-safe view of orc, preserving blocked
-// and batch sampling capability when present.
+// wrapOracle returns a goroutine-safe view of orc that keeps its
+// blocked sampling when it has one.
 func wrapOracle(orc oracle.Oracle) oracle.Oracle {
-	lo := &lockedOracle{inner: orc}
-	if blk, ok := orc.(oracle.BlockQuerier); ok {
-		lo.batch = blk
-		return &blockLockedOracle{lockedOracle: lo, block: blk}
-	}
-	if bq, ok := orc.(oracle.BatchQuerier); ok {
-		lo.batch = bq
-		return lo
-	}
-	return scalarLockedOracle{lo}
+	return &lockedOracle{inner: orc}
 }
 
 // runParallel executes the instance scheduler with one goroutine per

@@ -302,13 +302,13 @@ func TestAttackWithLogging(t *testing.T) {
 }
 
 func TestWrapOracleScalar(t *testing.T) {
-	// A non-batch oracle wrapped for parallel mode must keep working
-	// through the scalar path (no QueryBatch promoted).
+	// A scalar-only oracle wrapped for parallel mode must keep working
+	// through the scalar path (zero block words through the wrapper).
 	_, l := lockedSmall(t, 14, 6)
 	det := oracle.NewDeterministic(l.Circuit, l.Key)
 	w := wrapOracle(det)
-	if _, ok := w.(oracle.BatchQuerier); ok {
-		t.Error("scalar oracle must not gain QueryBatch through wrapping")
+	if _, wmax := oracle.Blocks(w); wmax != 0 {
+		t.Errorf("scalar oracle gained %d block words through wrapping", wmax)
 	}
 	x := make([]bool, l.Circuit.NumPIs())
 	a := det.Query(x)
@@ -330,22 +330,22 @@ func TestWrapOracleBatch(t *testing.T) {
 	_, l := lockedSmall(t, 15, 6)
 	prob := oracle.NewProbabilistic(l.Circuit, l.Key, 0.01, 500)
 	w := wrapOracle(prob)
-	bq, ok := w.(oracle.BatchQuerier)
-	if !ok {
-		t.Fatal("batch oracle lost QueryBatch through wrapping")
+	blq, wmax := oracle.Blocks(w)
+	if wmax != prob.BlockWords() {
+		t.Fatalf("wrapped oracle reports %d block words, want %d", wmax, prob.BlockWords())
 	}
-	words := bq.QueryBatch(make([]bool, l.Circuit.NumPIs()))
+	words := blq.QueryBlock(make([]bool, l.Circuit.NumPIs()), 1)
 	if len(words) != l.Circuit.NumPOs() {
-		t.Errorf("batch width %d", len(words))
+		t.Errorf("block width %d", len(words))
 	}
 	if w.Queries() == 0 {
-		t.Error("batch queries not counted")
+		t.Error("block queries not counted")
 	}
 }
 
 func TestAttackParallelDeterministicOracle(t *testing.T) {
 	// Parallel mode with a deterministic (scalar) oracle: exercises
-	// scalarLockedOracle inside the attack.
+	// the wrapper's scalar fallback inside the attack.
 	orig, l := lockedSmall(t, 16, 8)
 	orc := oracle.NewDeterministic(l.Circuit, l.Key)
 	opts := quickOpts(0, 2)

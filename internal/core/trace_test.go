@@ -163,9 +163,9 @@ func TestLockedOracleConcurrentCounters(t *testing.T) {
 	_, l := lockedSmall(t, 5, 8)
 	inner := oracle.NewProbabilistic(l.Circuit, l.Key, 0.01, 9)
 	orc := wrapOracle(inner)
-	bq, ok := orc.(oracle.BatchQuerier)
-	if !ok {
-		t.Fatal("wrapped probabilistic oracle lost batch capability")
+	blq, wmax := oracle.Blocks(orc)
+	if wmax == 0 {
+		t.Fatal("wrapped probabilistic oracle lost block capability")
 	}
 	x := make([]bool, orc.NumInputs())
 	const workers, each = 8, 25
@@ -178,7 +178,7 @@ func TestLockedOracleConcurrentCounters(t *testing.T) {
 				if w%2 == 0 {
 					orc.Query(x)
 				} else {
-					bq.QueryBatch(x)
+					blq.QueryBlock(x, 1)
 				}
 				if orc.Queries() <= 0 {
 					t.Error("counter went non-positive")
@@ -188,8 +188,8 @@ func TestLockedOracleConcurrentCounters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// 4 scalar workers × 25 single queries + 4 batch workers × 25
-	// 64-lane passes.
+	// 4 scalar workers × 25 single queries + 4 block workers × 25
+	// one-word (64-lane) blocks.
 	want := int64(4*each) + int64(4*each*64)
 	if got := orc.Queries(); got != want {
 		t.Errorf("Queries() = %d, want %d", got, want)

@@ -5,24 +5,25 @@ import (
 	"go/types"
 )
 
-// BufRetain enforces the BatchQuerier buffer-validity contract from
+// BufRetain enforces the BlockQuerier buffer-validity contract from
 // the PR 2 allocation diet: the slices returned (or filled) by
-// SignalProbsInto, UncertaintiesInto and EvalNoisyBatchInto alias the
-// callee's reusable scratch and are invalid after the next call on the
-// same receiver. Retaining such a slice — storing it into a struct
-// field, a package-level variable, a map/slice reachable from one, a
-// composite literal, or appending it into a retained destination —
-// produces silently stale probability vectors, exactly the
-// quiet-corruption failure mode that wrecks SAT-attack conclusions
-// without crashing. Local-variable reuse (buf = SignalProbsInto(...,
-// buf)) is the intended idiom and stays legal.
+// SignalProbsInto, UncertaintiesInto, EvalNoisyBlockInto and
+// QueryBlock alias the callee's reusable scratch and are invalid after
+// the next call on the same receiver. Retaining such a slice — storing
+// it into a struct field, a package-level variable, a map/slice
+// reachable from one, a composite literal, or appending it into a
+// retained destination — produces silently stale probability vectors,
+// exactly the quiet-corruption failure mode that wrecks SAT-attack
+// conclusions without crashing. Local-variable reuse
+// (buf = SignalProbsInto(..., buf)) is the intended idiom and stays
+// legal.
 type BufRetain struct{}
 
 func (BufRetain) Name() string { return "bufretain" }
 
 func (BufRetain) Doc() string {
-	return "flags storing a SignalProbsInto/UncertaintiesInto/EvalNoisyBatchInto/" +
-		"EvalNoisyBlockInto/QueryBatch/QueryBlock result " +
+	return "flags storing a SignalProbsInto/UncertaintiesInto/" +
+		"EvalNoisyBlockInto/QueryBlock result " +
 		"into a struct field, global, composite literal or retained append target " +
 		"without copying; these buffers are invalid after the next call"
 }
@@ -31,16 +32,11 @@ func (BufRetain) Applies(string) bool { return true }
 
 // bufReturningFuncs name the functions/methods whose results alias
 // reusable internal buffers. Matching is by name across the module so
-// interface methods (BatchQuerier/BlockQuerier implementations) are
-// covered too. The blocked-evaluation APIs carry the same contract as
-// their single-word ancestors: one scratch per owner, aliases invalid
-// after the next call.
+// interface methods (BlockQuerier implementations) are covered too.
 var bufReturningFuncs = map[string]bool{
 	"SignalProbsInto":    true,
 	"UncertaintiesInto":  true,
-	"EvalNoisyBatchInto": true,
 	"EvalNoisyBlockInto": true,
-	"QueryBatch":         true,
 	"QueryBlock":         true,
 }
 

@@ -2,7 +2,7 @@
 // entirely on the standard library (go/parser, go/ast, go/types). It
 // machine-checks the conventions the repo's headline guarantees rest
 // on — byte-identical experiment output at any worker count, the
-// BatchQuerier buffer-validity contract, and zero-allocation hot paths
+// BlockQuerier buffer-validity contract, and zero-allocation hot paths
 // when tracing is off — which until now were enforced only by reviewer
 // vigilance. See docs/LINTING.md for the catalogue of checks, the
 // invariant each one guards, and the suppression syntax.

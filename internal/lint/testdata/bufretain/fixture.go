@@ -1,6 +1,7 @@
 // Package fixture exercises the bufretain check. The local querier
-// mimics the BatchQuerier contract: the *Into methods return aliases
-// of an internal scratch buffer that the next call overwrites.
+// mimics the BlockQuerier contract: the *Into and QueryBlock methods
+// return aliases of an internal scratch buffer that the next call
+// overwrites.
 package fixture
 
 type querier struct {
@@ -13,10 +14,6 @@ func (q *querier) SignalProbsInto(dst []float64) []float64 {
 		q.scratch = make([]float64, 8)
 	}
 	return q.scratch
-}
-
-func (q *querier) EvalNoisyBatchInto(out []uint64) []uint64 {
-	return q.out
 }
 
 func (q *querier) EvalNoisyBlockInto(out []uint64, words int) []uint64 {
@@ -52,7 +49,7 @@ func badAppendElement(h *holder, q *querier) {
 }
 
 func badAppendFirstArg(h *holder, q *querier) {
-	h.batchAlias = append(q.EvalNoisyBatchInto(nil), 0) // want `\[bufretain\] result of EvalNoisyBatchInto .* struct field batchAlias`
+	h.batchAlias = append(q.EvalNoisyBlockInto(nil, 4), 0) // want `\[bufretain\] result of EvalNoisyBlockInto .* struct field batchAlias`
 }
 
 func badCompositeLit(q *querier) holder {

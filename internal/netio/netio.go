@@ -49,11 +49,13 @@ func ParseFormat(name string) (Format, error) {
 	return "", fmt.Errorf("netio: unknown format %q (want bench or verilog)", name)
 }
 
-// ReadFrom parses a netlist from any reader in the given format ("" =
-// Bench) — the entry point for sources that never touch the
-// filesystem, such as netlists uploaded to statsatd or embedded in
-// tests. The path-based helpers (ReadFile) are thin wrappers over it.
-func ReadFrom(r io.Reader, f Format) (*circuit.Circuit, error) {
+// ReadFromStreaming parses a netlist from any reader in the given
+// format ("" = Bench) — the one reader every entry point goes through:
+// sources that never touch the filesystem, such as netlists uploaded
+// to statsatd or embedded in tests, call it directly, and ReadFile and
+// ReadString wrap it. .bench goes through bench.Parse, whose
+// bounded-memory front end suits 100k-gate netlists.
+func ReadFromStreaming(r io.Reader, f Format) (*circuit.Circuit, error) {
 	switch f {
 	case Verilog:
 		return verilog.Parse(r)
@@ -63,26 +65,10 @@ func ReadFrom(r io.Reader, f Format) (*circuit.Circuit, error) {
 	return nil, fmt.Errorf("netio: unknown format %q", f)
 }
 
-// ReadFromStreaming is ReadFrom through the bounded-memory .bench
-// front end (bench.ParseStreaming): names interned once, gate records
-// packed into flat arrays, no per-gate string slices — the right entry
-// point for 100k-gate netlists, where the classic parser's
-// intermediate roughly doubles peak RSS. Verilog has no streaming
-// front end (its grammar needs lookahead) and falls back to the
-// regular parser.
-func ReadFromStreaming(r io.Reader, f Format) (*circuit.Circuit, error) {
-	switch f {
-	case Verilog:
-		return verilog.Parse(r)
-	case Bench, "":
-		return bench.ParseStreaming(r)
-	}
-	return nil, fmt.Errorf("netio: unknown format %q", f)
-}
-
-// ReadString parses a netlist held in memory (ReadFrom over a string).
+// ReadString parses a netlist held in memory (ReadFromStreaming over a
+// string).
 func ReadString(src string, f Format) (*circuit.Circuit, error) {
-	return ReadFrom(strings.NewReader(src), f)
+	return ReadFromStreaming(strings.NewReader(src), f)
 }
 
 // Write serialises c to w in the given format.
@@ -99,16 +85,6 @@ func Write(w io.Writer, c *circuit.Circuit, f Format) error {
 // ReadFile loads a netlist, inferring the format from the path unless
 // explicit is non-empty.
 func ReadFile(path string, explicit Format) (*circuit.Circuit, error) {
-	return readFileWith(path, explicit, ReadFrom)
-}
-
-// ReadFileStreaming is ReadFile through the bounded-memory front end
-// (see ReadFromStreaming).
-func ReadFileStreaming(path string, explicit Format) (*circuit.Circuit, error) {
-	return readFileWith(path, explicit, ReadFromStreaming)
-}
-
-func readFileWith(path string, explicit Format, read func(io.Reader, Format) (*circuit.Circuit, error)) (*circuit.Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -118,7 +94,7 @@ func readFileWith(path string, explicit Format, read func(io.Reader, Format) (*c
 	if format == "" {
 		format = FormatForPath(path)
 	}
-	c, err := read(f, format)
+	c, err := ReadFromStreaming(f, format)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

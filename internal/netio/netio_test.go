@@ -102,7 +102,7 @@ func TestWriteFileErrors(t *testing.T) {
 }
 
 func TestUnknownFormatErrors(t *testing.T) {
-	if _, err := ReadFrom(strings.NewReader(""), "edif"); err == nil {
+	if _, err := ReadFromStreaming(strings.NewReader(""), "edif"); err == nil {
 		t.Error("want read error")
 	}
 	if err := Write(os.Stderr, gen.C17(), "edif"); err == nil {
@@ -118,18 +118,18 @@ func TestReadFromAndReadString(t *testing.T) {
 	}
 	src := sb.String()
 
-	// ReadFrom: canonical reader-based entry point, "" defaults to bench.
+	// ReadFromStreaming: the reader-based entry point, "" defaults to bench.
 	for _, f := range []Format{Bench, ""} {
-		c, err := ReadFrom(strings.NewReader(src), f)
+		c, err := ReadFromStreaming(strings.NewReader(src), f)
 		if err != nil {
-			t.Fatalf("ReadFrom(%q): %v", f, err)
+			t.Fatalf("ReadFromStreaming(%q): %v", f, err)
 		}
 		if c.NumPIs() != orig.NumPIs() || c.NumPOs() != orig.NumPOs() {
-			t.Errorf("ReadFrom(%q): interface mismatch", f)
+			t.Errorf("ReadFromStreaming(%q): interface mismatch", f)
 		}
 	}
 
-	// ReadString is sugar over ReadFrom.
+	// ReadString is sugar over ReadFromStreaming.
 	c, err := ReadString(src, Bench)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestReadFromAndReadString(t *testing.T) {
 	if err := Write(&vb, orig, Verilog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrom(strings.NewReader(vb.String()), Verilog); err != nil {
-		t.Errorf("ReadFrom verilog: %v", err)
+	if _, err := ReadFromStreaming(strings.NewReader(vb.String()), Verilog); err != nil {
+		t.Errorf("ReadFromStreaming verilog: %v", err)
 	}
 
-	if _, err := ReadFrom(strings.NewReader(src), "edif"); err == nil {
+	if _, err := ReadFromStreaming(strings.NewReader(src), "edif"); err == nil {
 		t.Error("want error for unknown format")
 	}
 }

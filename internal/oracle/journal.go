@@ -27,10 +27,10 @@ type NoiseCounter interface {
 
 // TapeRecord is one recorded oracle interaction. Kind "q" is a scalar
 // Query (Y holds the output bits); kind "b" is a QueryBlock of Words
-// words (W holds the NumOutputs×Words result words; QueryBatch is the
-// Words==1 case). The counter fields are cumulative totals after the
-// interaction, so the final record of a tape carries everything a
-// resume needs to position a fresh oracle.
+// words (W holds the NumOutputs×Words result words). The counter
+// fields are cumulative totals after the interaction, so the final
+// record of a tape carries everything a resume needs to position a
+// fresh oracle.
 type TapeRecord struct {
 	Kind    string   `json:"k"`
 	X       string   `json:"x"`
@@ -38,7 +38,6 @@ type TapeRecord struct {
 	Y       string   `json:"y,omitempty"`
 	W       []uint64 `json:"bw,omitempty"`
 	Queries int64    `json:"q"`
-	Batch   int64    `json:"bq,omitempty"`
 	Draws   uint64   `json:"d,omitempty"`
 }
 
@@ -69,7 +68,9 @@ func keyBits(s string) []bool {
 // queries and no noise); once exhausted it passes through to the
 // inner oracle and feeds each new interaction to the sink. Counter
 // accessors always report the trajectory position — recorded totals
-// during replay, recorded-plus-live after.
+// during replay, recorded-plus-live after. Blocks are journalled like
+// scalar queries, so blocked sampling keeps its trajectory across a
+// resume; BlockWords is the inner oracle's, zero for a scalar-only one.
 type Journal struct {
 	inner    Oracle
 	tape     []TapeRecord
@@ -80,37 +81,22 @@ type Journal struct {
 	// counters of the last consumed tape record; the live phase adds
 	// the (initially zero) inner counters on top.
 	baseQ int64
-	baseB int64
 	baseD uint64
-}
-
-// BlockJournal is the Journal over an inner BlockQuerier: it
-// additionally replays and records batch/block queries, so the
-// blocked sampling paths keep working — and keep their trajectories —
-// across a resume. Constructed by NewJournal; never construct a
-// BlockJournal over a scalar-only oracle.
-type BlockJournal struct {
-	Journal
 }
 
 // NewJournal wraps a freshly materialized oracle (its counters at
 // zero) with the given tape and record sink (either may be nil/empty).
 // If the inner oracle counts noise draws, its stream is skipped to the
 // tape's final draw position so post-replay sampling continues where
-// the recorded run stopped. The returned oracle implements
-// BatchQuerier/BlockQuerier exactly when the inner one does.
-func NewJournal(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) Oracle {
-	j := Journal{inner: inner, tape: tape, sink: sink}
+// the recorded run stopped.
+func NewJournal(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) *Journal {
 	if len(tape) > 0 {
 		end := tape[len(tape)-1]
 		if nc, ok := inner.(NoiseCounter); ok {
 			nc.SkipNoiseDraws(end.Draws - nc.NoiseDraws())
 		}
 	}
-	if _, ok := inner.(BlockQuerier); ok {
-		return &BlockJournal{Journal: j}
-	}
-	return &j
+	return &Journal{inner: inner, tape: tape, sink: sink}
 }
 
 // replaying reports whether a tape prefix remains to be served.
@@ -138,7 +124,7 @@ func (j *Journal) diverge() {
 func (j *Journal) consume() *TapeRecord {
 	r := &j.tape[j.pos]
 	j.pos++
-	j.baseQ, j.baseB, j.baseD = r.Queries, r.Batch, r.Draws
+	j.baseQ, j.baseD = r.Queries, r.Draws
 	return r
 }
 
@@ -149,7 +135,6 @@ func (j *Journal) record(r TapeRecord) {
 		return
 	}
 	r.Queries = j.Queries()
-	r.Batch = j.BatchQueries()
 	if nc, ok := j.inner.(NoiseCounter); ok {
 		r.Draws = nc.NoiseDraws()
 	}
@@ -179,18 +164,6 @@ func (j *Journal) NumOutputs() int { return j.inner.NumOutputs() }
 // (recorded totals while replaying, plus live queries after).
 func (j *Journal) Queries() int64 { return j.baseQ + j.inner.Queries() }
 
-// BatchQueries implements QueryBreakdown.
-func (j *Journal) BatchQueries() int64 {
-	var live int64
-	if qb, ok := j.inner.(QueryBreakdown); ok {
-		live = qb.BatchQueries()
-	}
-	return j.baseB + live
-}
-
-// ScalarQueries implements QueryBreakdown.
-func (j *Journal) ScalarQueries() int64 { return j.Queries() - j.BatchQueries() }
-
 // NoiseDraws implements NoiseCounter (position of the trajectory, not
 // of the pre-skipped inner stream, while replaying).
 func (j *Journal) NoiseDraws() uint64 {
@@ -212,35 +185,36 @@ func (j *Journal) SkipNoiseDraws(n uint64) {
 	}
 }
 
-// QueryBatch implements BatchQuerier (BlockJournal only): the
-// single-word block, mirroring Probabilistic.
-func (j *BlockJournal) QueryBatch(x []bool) []uint64 {
-	return j.QueryBlock(x, 1)
-}
-
-// QueryBlock implements BlockQuerier (BlockJournal only).
-func (j *BlockJournal) QueryBlock(x []bool, words int) []uint64 {
+// QueryBlock implements BlockQuerier; words must be in
+// [1, BlockWords()].
+func (j *Journal) QueryBlock(x []bool, words int) []uint64 {
 	if j.replaying() {
 		if r := &j.tape[j.pos]; r.Kind == "b" && r.Words == words && r.X == bitsKey(x) {
 			return j.consume().W
 		}
 		j.diverge()
 	}
-	w := j.inner.(BlockQuerier).QueryBlock(x, words)
+	blq, _ := Blocks(j.inner)
+	w := blq.QueryBlock(x, words)
 	j.record(TapeRecord{Kind: "b", X: bitsKey(x), Words: words, W: append([]uint64(nil), w...)})
 	return w
 }
 
-// BlockWords implements BlockQuerier (BlockJournal only).
-func (j *BlockJournal) BlockWords() int { return j.inner.(BlockQuerier).BlockWords() }
+// BlockWords implements BlockQuerier: the inner oracle's widest block,
+// or zero when it cannot block.
+func (j *Journal) BlockWords() int {
+	_, w := Blocks(j.inner)
+	return w
+}
 
 // ValidateTape sanity-checks a replayed tape before a resume commits
-// to it: records must match the oracle's pinout and carry monotone
-// non-decreasing cumulative counters. A WAL that replays intact but
-// fails validation (a spec/netlist mismatch) aborts the resume rather
-// than silently diverging.
+// to it: records must match the oracle's pinout, spell their bit
+// vectors in '0'/'1' only, and carry monotone non-decreasing
+// cumulative counters. A WAL that replays intact but fails validation
+// (a spec/netlist mismatch or a damaged record) aborts the resume
+// rather than silently diverging.
 func ValidateTape(tape []TapeRecord, o Oracle) error {
-	var q, b int64
+	var q int64
 	var d uint64
 	for i, r := range tape {
 		switch r.Kind {
@@ -248,12 +222,15 @@ func ValidateTape(tape []TapeRecord, o Oracle) error {
 			if len(r.Y) != o.NumOutputs() {
 				return fmt.Errorf("oracle: tape record %d: %d output bits, oracle has %d", i, len(r.Y), o.NumOutputs())
 			}
+			if !isBits(r.Y) {
+				return fmt.Errorf("oracle: tape record %d: output bits are not all '0'/'1'", i)
+			}
 		case "b":
 			if r.Words < 1 || len(r.W) != o.NumOutputs()*r.Words {
 				return fmt.Errorf("oracle: tape record %d: %d block words for width %d, oracle has %d outputs",
 					i, len(r.W), r.Words, o.NumOutputs())
 			}
-			if _, ok := o.(BlockQuerier); !ok {
+			if _, w := Blocks(o); w == 0 {
 				return fmt.Errorf("oracle: tape record %d is a block query but the oracle is scalar-only", i)
 			}
 		default:
@@ -262,10 +239,24 @@ func ValidateTape(tape []TapeRecord, o Oracle) error {
 		if len(r.X) != o.NumInputs() {
 			return fmt.Errorf("oracle: tape record %d: %d input bits, oracle has %d", i, len(r.X), o.NumInputs())
 		}
-		if r.Queries < q || r.Batch < b || r.Draws < d {
+		if !isBits(r.X) {
+			return fmt.Errorf("oracle: tape record %d: input bits are not all '0'/'1'", i)
+		}
+		if r.Queries < q || r.Draws < d {
 			return fmt.Errorf("oracle: tape record %d: counters went backwards", i)
 		}
-		q, b, d = r.Queries, r.Batch, r.Draws
+		q, d = r.Queries, r.Draws
 	}
 	return nil
+}
+
+// isBits reports whether s spells a bit vector in the tape's '0'/'1'
+// form; keyBits would read any other byte as false.
+func isBits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' && s[i] != '1' {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,8 @@ package oracle
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"statsat/internal/circuit"
@@ -19,8 +21,8 @@ func journalFixture(t *testing.T) (*circuit.Circuit, []bool, func() *Probabilist
 	}
 }
 
-// drive performs a deterministic mixed workload (scalar, batch, block,
-// SignalProbs) against o and returns a digest of every answer.
+// drive performs a deterministic mixed workload (scalar, one-word
+// block, SignalProbs) against o and returns a digest of every answer.
 func drive(t *testing.T, o Oracle, nin int, upto int) [][]bool {
 	t.Helper()
 	ctx := context.Background()
@@ -41,8 +43,8 @@ func drive(t *testing.T, o Oracle, nin int, upto int) [][]bool {
 			}
 			out = append(out, row)
 		case 2:
-			if bq, ok := o.(BatchQuerier); ok {
-				w := bq.QueryBatch(x)
+			if blq, wmax := Blocks(o); wmax > 0 {
+				w := blq.QueryBlock(x, 1)
 				row := make([]bool, len(w))
 				for j, v := range w {
 					row[j] = v&1 == 1
@@ -72,7 +74,10 @@ func sameAnswers(t *testing.T, a, b [][]bool) {
 // recorded run interrupted after k interactions, resumed on a FRESH
 // oracle with the recorded tape prefix, must produce exactly the
 // answers — and exactly the counters — of the uninterrupted run, for
-// every cut point k.
+// every cut point k. The tape is fed twice: as recorded, and as older
+// versions wrote it, with a cumulative batch-query count under "bq" on
+// every record, which a lenient JSON decode must drop without
+// changing the replay.
 func TestJournalResumeEquivalence(t *testing.T) {
 	_, _, fresh := journalFixture(t)
 	const steps = 12
@@ -82,54 +87,82 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	var tape []TapeRecord
 	ctrl := NewJournal(fresh(), nil, func(r TapeRecord) { tape = append(tape, r) })
 	want := drive(t, ctrl, nin, steps)
-	wantQ, wantB := ctrl.Queries(), ctrl.(QueryBreakdown).BatchQueries()
-	wantD := ctrl.(NoiseCounter).NoiseDraws()
-	if wantQ == 0 || wantB == 0 || wantD == 0 {
-		t.Fatalf("control consumed nothing: q=%d b=%d d=%d", wantQ, wantB, wantD)
+	wantQ, wantD := ctrl.Queries(), ctrl.NoiseDraws()
+	if wantQ == 0 || wantD == 0 {
+		t.Fatalf("control consumed nothing: q=%d d=%d", wantQ, wantD)
 	}
 
-	for cut := 0; cut <= len(tape); cut += 1 + len(tape)/16 {
-		prefix := tape[:cut]
-		var resumedTail []TapeRecord
-		res := NewJournal(fresh(), prefix, func(r TapeRecord) { resumedTail = append(resumedTail, r) })
-		got := drive(t, res, nin, steps)
-		sameAnswers(t, want, got)
-		if q := res.Queries(); q != wantQ {
-			t.Fatalf("cut %d: queries %d, want %d", cut, q, wantQ)
-		}
-		if b := res.(QueryBreakdown).BatchQueries(); b != wantB {
-			t.Fatalf("cut %d: batch queries %d, want %d", cut, b, wantB)
-		}
-		if d := res.(NoiseCounter).NoiseDraws(); d != wantD {
-			t.Fatalf("cut %d: noise draws %d, want %d", cut, d, wantD)
-		}
-		// The resumed run's recorded tail must extend the prefix into
-		// the same full tape the control recorded.
-		if len(prefix)+len(resumedTail) != len(tape) {
-			t.Fatalf("cut %d: prefix %d + tail %d != full tape %d",
-				cut, len(prefix), len(resumedTail), len(tape))
-		}
-		for i, r := range resumedTail {
-			full := tape[cut+i]
-			if r.Kind != full.Kind || r.X != full.X || r.Y != full.Y ||
-				r.Queries != full.Queries || r.Draws != full.Draws {
-				t.Fatalf("cut %d: resumed tail record %d differs from control", cut, i)
+	tapes := []struct {
+		name string
+		tape []TapeRecord
+	}{
+		{"recorded", tape},
+		{"with bq", withBatchCounts(t, tape)},
+	}
+	for _, tc := range tapes {
+		for cut := 0; cut <= len(tc.tape); cut += 1 + len(tc.tape)/16 {
+			prefix := tc.tape[:cut]
+			var resumedTail []TapeRecord
+			res := NewJournal(fresh(), prefix, func(r TapeRecord) { resumedTail = append(resumedTail, r) })
+			got := drive(t, res, nin, steps)
+			sameAnswers(t, want, got)
+			if q := res.Queries(); q != wantQ {
+				t.Fatalf("%s cut %d: queries %d, want %d", tc.name, cut, q, wantQ)
+			}
+			if d := res.NoiseDraws(); d != wantD {
+				t.Fatalf("%s cut %d: noise draws %d, want %d", tc.name, cut, d, wantD)
+			}
+			// The resumed run's recorded tail must extend the prefix
+			// into the same full tape the control recorded.
+			if len(prefix)+len(resumedTail) != len(tape) {
+				t.Fatalf("%s cut %d: prefix %d + tail %d != full tape %d",
+					tc.name, cut, len(prefix), len(resumedTail), len(tape))
+			}
+			for i, r := range resumedTail {
+				full := tape[cut+i]
+				if r.Kind != full.Kind || r.X != full.X || r.Y != full.Y ||
+					r.Queries != full.Queries || r.Draws != full.Draws {
+					t.Fatalf("%s cut %d: resumed tail record %d differs from control", tc.name, cut, i)
+				}
 			}
 		}
 	}
 }
 
+// withBatchCounts re-encodes tape the way older versions wrote it —
+// each record carrying "bq", the cumulative count of block-drawn
+// queries — and decodes it back, as the server's WAL replay does.
+func withBatchCounts(t *testing.T, tape []TapeRecord) []TapeRecord {
+	t.Helper()
+	out := make([]TapeRecord, len(tape))
+	var bq int64
+	for i, r := range tape {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind == "b" {
+			bq += int64(r.Words) * circuit.BatchLanes
+		}
+		raw = append(raw[:len(raw)-1], fmt.Sprintf(`,"bq":%d}`, bq)...)
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestJournalScalarOracle: a journal over a Deterministic oracle must
-// stay scalar-only (no BlockQuerier leaking through the wrapper) and
-// still replay correctly.
+// stay scalar-only (zero BlockWords, so Blocks rejects it) and still
+// replay correctly.
 func TestJournalScalarOracle(t *testing.T) {
 	c, key, _ := journalFixture(t)
 	fresh := func() Oracle { return NewDeterministic(c, key) }
 
 	var tape []TapeRecord
 	ctrl := NewJournal(fresh(), nil, func(r TapeRecord) { tape = append(tape, r) })
-	if _, ok := ctrl.(BatchQuerier); ok {
-		t.Fatal("journal over a scalar oracle must not claim BatchQuerier")
+	if _, w := Blocks(ctrl); w != 0 {
+		t.Fatalf("journal over a scalar oracle reports %d block words, want 0", w)
 	}
 	want := drive(t, ctrl, ctrl.NumInputs(), 9)
 
@@ -163,11 +196,7 @@ func TestJournalDivergenceFreezes(t *testing.T) {
 	if len(y) != o.NumOutputs() {
 		t.Fatalf("diverged query returned %d bits", len(y))
 	}
-	j, ok := res.(*BlockJournal)
-	if !ok {
-		t.Fatalf("journal over Probabilistic should be a BlockJournal, got %T", res)
-	}
-	if !j.Diverged() {
+	if !res.Diverged() {
 		t.Fatal("mismatching input did not mark the journal diverged")
 	}
 	if recorded != 0 {
@@ -204,6 +233,19 @@ func TestValidateTape(t *testing.T) {
 	bad[0].Kind = "zz"
 	if err := ValidateTape(bad, fresh()); err == nil {
 		t.Fatal("unknown record kind accepted")
+	}
+	bad = append([]TapeRecord(nil), tape...)
+	bad[0].X = "?" + bad[0].X[1:]
+	if err := ValidateTape(bad, fresh()); err == nil {
+		t.Fatal("non-binary input bits accepted")
+	}
+	bad = append([]TapeRecord(nil), tape...)
+	if bad[0].Kind != "q" {
+		t.Fatalf("record 0 is %q; the output-bit case needs a scalar query", bad[0].Kind)
+	}
+	bad[0].Y = "?" + bad[0].Y[1:]
+	if err := ValidateTape(bad, fresh()); err == nil {
+		t.Fatal("non-binary output bits accepted")
 	}
 }
 

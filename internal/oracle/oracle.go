@@ -65,25 +65,18 @@ func (o *Deterministic) NumOutputs() int { return o.c.NumPOs() }
 // Queries implements Oracle.
 func (o *Deterministic) Queries() int64 { return o.queries }
 
-// ScalarQueries implements QueryBreakdown (all queries are scalar).
-func (o *Deterministic) ScalarQueries() int64 { return o.queries }
-
-// BatchQueries implements QueryBreakdown.
-func (o *Deterministic) BatchQueries() int64 { return 0 }
-
 // Probabilistic is the paper's noisy activated chip.
 type Probabilistic struct {
-	c            *circuit.Circuit
-	key          []bool
-	eps          float64
-	rng          *rand.Rand
-	src          *countingSource
-	scratch      []bool
-	blockWords   int
-	bscratch     circuit.BlockScratch
-	blockBuf     []uint64
-	queries      int64
-	batchQueries int64
+	c          *circuit.Circuit
+	key        []bool
+	eps        float64
+	rng        *rand.Rand
+	src        *countingSource
+	scratch    []bool
+	blockWords int
+	bscratch   circuit.BlockScratch
+	blockBuf   []uint64
+	queries    int64
 }
 
 // countingSource wraps the seeded math/rand source so the oracle can
@@ -128,50 +121,42 @@ func (s *countingSource) skip(n uint64) {
 	}
 }
 
-// BatchQuerier is implemented by oracles that can evaluate
-// circuit.BatchLanes independent samples per call. SignalProbs uses it
-// when available; each call counts as BatchLanes queries.
-//
-// The returned slice is only valid until the next QueryBatch call on
-// the same oracle: implementations may (and Probabilistic does) reuse
-// one output buffer across calls to keep the sampling loop
-// allocation-free. Callers that retain the words must copy them.
-type BatchQuerier interface {
-	QueryBatch(x []bool) []uint64
-}
-
-// BlockQuerier generalises BatchQuerier to whole evaluation blocks:
-// one QueryBlock call draws words×circuit.BatchLanes independent
-// samples, so an Ns-sample probability estimate costs
-// ceil(Ns/(64·words)) circuit passes instead of ceil(Ns/64). Word
-// column k of a block is bit-identical to the k-th of `words`
-// successive QueryBatch calls over the same noise stream
-// (circuit.EvalNoisyBlockInto's determinism contract), so sampling
-// results — and therefore attack trajectories — are independent of the
-// block width.
+// BlockQuerier is implemented by oracles that sample bit-parallel, in
+// whole evaluation blocks: one QueryBlock call draws
+// words×circuit.BatchLanes independent samples, so an Ns-sample
+// probability estimate costs ceil(Ns/(64·words)) circuit passes
+// instead of Ns scalar queries. Word column k of a block is
+// bit-identical to the k-th of `words` successive one-word blocks over
+// the same noise stream (circuit.EvalNoisyBlockInto's determinism
+// contract), so sampling results — and therefore attack trajectories —
+// are independent of the block width.
 //
 // The returned slice holds NumOutputs rows of `words` words (output
 // j's word k at [j*words+k]) and is only valid until the next
-// QueryBlock or QueryBatch call on the same oracle; callers that
-// retain it must copy.
+// QueryBlock call on the same oracle: implementations may (and
+// Probabilistic does) reuse one output buffer across calls to keep the
+// sampling loop allocation-free. Callers that retain the words must
+// copy them.
 type BlockQuerier interface {
-	BatchQuerier
 	// QueryBlock draws words×circuit.BatchLanes samples in one blocked
 	// pass; words must be in [1, BlockWords()]. Each call counts as
 	// words×circuit.BatchLanes queries.
 	QueryBlock(x []bool, words int) []uint64
-	// BlockWords reports the widest block one QueryBlock call accepts.
+	// BlockWords reports the widest block one QueryBlock call accepts;
+	// zero means none (a wrapper over a scalar-only oracle).
 	BlockWords() int
 }
 
-// QueryBreakdown is implemented by oracles that can split their total
-// query count into scalar and bit-parallel batch samples. The
-// invariant is Queries() == ScalarQueries() + BatchQueries(); the
-// trace layer records the split so sampling strategies are comparable
-// at equal query budgets.
-type QueryBreakdown interface {
-	ScalarQueries() int64
-	BatchQueries() int64
+// Blocks is the one rule for whether o samples in blocks: it returns
+// o's BlockQuerier view and widest block, and o blocks exactly when
+// that width is positive (zero when o does not implement BlockQuerier).
+// Samplers, wrappers and tape validation all decide through it; an
+// oracle that does not block is sampled with scalar Query calls.
+func Blocks(o Oracle) (BlockQuerier, int) {
+	if b, ok := o.(BlockQuerier); ok {
+		return b, b.BlockWords()
+	}
+	return nil, 0
 }
 
 // NewProbabilistic activates circuit c with the correct key under
@@ -214,15 +199,6 @@ func (o *Probabilistic) Query(x []bool) []bool {
 	return o.c.EvalNoisy(x, o.key, o.eps, o.rng, o.scratch)
 }
 
-// QueryBatch implements BatchQuerier: circuit.BatchLanes independent
-// noisy evaluations in one bit-parallel pass (one word per output,
-// one sample per bit lane). The returned slice is reused across calls
-// (see BatchQuerier); copy it to retain the words. It is the
-// single-word block, so the noise stream is shared with QueryBlock.
-func (o *Probabilistic) QueryBatch(x []bool) []uint64 {
-	return o.QueryBlock(x, 1)
-}
-
 // QueryBlock implements BlockQuerier: words×circuit.BatchLanes
 // independent noisy evaluations in one blocked bit-parallel pass. The
 // returned slice is reused across calls (see BlockQuerier); copy it
@@ -231,9 +207,7 @@ func (o *Probabilistic) QueryBlock(x []bool, words int) []uint64 {
 	if words < 1 || words > o.blockWords {
 		panic(fmt.Sprintf("oracle: block width %d out of [1,%d]", words, o.blockWords))
 	}
-	n := int64(words) * circuit.BatchLanes
-	o.queries += n
-	o.batchQueries += n
+	o.queries += int64(words) * circuit.BatchLanes
 	//lint:ignore bufretain o.blockBuf IS the reusable scratch the contract is about: the oracle owns it and hands out aliases; callers, not the owner, must copy
 	o.blockBuf = o.c.EvalNoisyBlockInto(o.blockBuf, x, o.key, o.eps, o.rng, words, &o.bscratch)
 	return o.blockBuf
@@ -261,21 +235,15 @@ func (o *Probabilistic) NumOutputs() int { return o.c.NumPOs() }
 // Queries implements Oracle.
 func (o *Probabilistic) Queries() int64 { return o.queries }
 
-// ScalarQueries implements QueryBreakdown.
-func (o *Probabilistic) ScalarQueries() int64 { return o.queries - o.batchQueries }
-
-// BatchQueries implements QueryBreakdown.
-func (o *Probabilistic) BatchQueries() int64 { return o.batchQueries }
-
 // Eps exposes the true gate error probability (experiment harness
 // only; the attacker is not entitled to it — §V-E estimates it).
 func (o *Probabilistic) Eps() float64 { return o.eps }
 
 // SignalProbs queries the oracle ns times with x and returns the
-// per-output signal probabilities (eq. 1). Oracles implementing
-// BatchQuerier are sampled bit-parallel, BatchLanes samples per pass
-// (the sample count is then rounded up to a whole number of passes —
-// never fewer samples than requested).
+// per-output signal probabilities (eq. 1). Oracles that block (see
+// Blocks) are sampled bit-parallel, BatchLanes samples per word (the
+// sample count is then rounded up to a whole number of words — never
+// fewer samples than requested).
 //
 // Cancelling ctx stops the sampling early; the probabilities are then
 // normalised over the samples actually taken (best-effort, all-zero
@@ -304,14 +272,12 @@ func SignalProbsInto(ctx context.Context, o Oracle, x []bool, ns int, dst []floa
 		dst[j] = 0
 	}
 	total := 0
-	if blq, ok := o.(BlockQuerier); ok {
-		// Blocked sampling: same whole-word rounding as the batch path
-		// (ceil(ns/64) words), consumed up to BlockWords() words per
-		// circuit pass. Word columns are drawn in the same stream order
-		// as successive batch passes, so counts — and the query total —
-		// are bit-identical at every block width.
+	if blq, wmax := Blocks(o); wmax > 0 {
+		// Blocked sampling: ceil(ns/64) words, consumed up to wmax words
+		// per circuit pass. Word columns are drawn in stream order, so
+		// counts — and the query total — are bit-identical at every
+		// block width.
 		left := (ns + circuit.BatchLanes - 1) / circuit.BatchLanes
-		wmax := blq.BlockWords()
 		for left > 0 && ctx.Err() == nil {
 			wblk := wmax
 			if left < wblk {
@@ -327,15 +293,6 @@ func SignalProbsInto(ctx context.Context, o Oracle, x []bool, ns int, dst []floa
 			}
 			total += wblk * circuit.BatchLanes
 			left -= wblk
-		}
-	} else if bq, ok := o.(BatchQuerier); ok {
-		passes := (ns + circuit.BatchLanes - 1) / circuit.BatchLanes
-		for p := 0; p < passes && ctx.Err() == nil; p++ {
-			words := bq.QueryBatch(x)
-			for j, w := range words {
-				dst[j] += float64(bits.OnesCount64(w))
-			}
-			total += circuit.BatchLanes
 		}
 	} else {
 		for i := 0; i < ns && ctx.Err() == nil; i++ {
@@ -383,14 +340,16 @@ func UncertaintiesInto(probs, dst []float64) []float64 {
 
 // PatternCounts queries the oracle ns times and tallies whole output
 // patterns (the PSAT baseline consumes patterns, not per-bit
-// probabilities). Keys are the string of '0'/'1' bytes. Cancelling ctx
-// stops the sampling early and returns the tallies so far.
+// probabilities). Keys are the string of '0'/'1' bytes. Oracles that
+// block (see Blocks) draw the whole 64-lane words of ns in blocks and
+// the remainder with scalar Query calls, so exactly ns samples are
+// taken. Cancelling ctx stops the sampling early and returns the
+// tallies so far.
 func PatternCounts(ctx context.Context, o Oracle, x []bool, ns int) map[string]int {
 	counts := make(map[string]int)
 	buf := make([]byte, o.NumOutputs())
 	remaining := ns
-	if blq, ok := o.(BlockQuerier); ok {
-		wmax := blq.BlockWords()
+	if blq, wmax := Blocks(o); wmax > 0 {
 		for remaining >= circuit.BatchLanes && ctx.Err() == nil {
 			wblk := remaining / circuit.BatchLanes
 			if wblk > wmax {
@@ -410,21 +369,6 @@ func PatternCounts(ctx context.Context, o Oracle, x []bool, ns int) map[string]i
 				}
 			}
 			remaining -= wblk * circuit.BatchLanes
-		}
-	} else if bq, ok := o.(BatchQuerier); ok {
-		for remaining >= circuit.BatchLanes && ctx.Err() == nil {
-			words := bq.QueryBatch(x)
-			for lane := 0; lane < circuit.BatchLanes; lane++ {
-				for j, w := range words {
-					if w>>uint(lane)&1 == 1 {
-						buf[j] = '1'
-					} else {
-						buf[j] = '0'
-					}
-				}
-				counts[string(buf)]++
-			}
-			remaining -= circuit.BatchLanes
 		}
 	}
 	for i := 0; i < remaining && ctx.Err() == nil; i++ {

@@ -128,9 +128,9 @@ func TestSignalProbsConvergeToBER(t *testing.T) {
 	if math.Abs(probs[0]-0.7) > 0.02 {
 		t.Errorf("signal prob %.4f, want ≈0.70", probs[0])
 	}
-	// Batch sampling rounds up to whole passes.
+	// Blocked sampling rounds up to whole 64-lane words.
 	if q := o.Queries(); q < 20000 || q >= 20000+circuit.BatchLanes {
-		t.Errorf("queries = %d, want 20000 rounded up to a pass boundary", q)
+		t.Errorf("queries = %d, want 20000 rounded up to a word boundary", q)
 	}
 }
 
@@ -210,23 +210,14 @@ func TestPatternToBitsEmpty(t *testing.T) {
 	}
 }
 
-func TestQueryBatchCountsQueries(t *testing.T) {
-	l := lockedC17(t)
-	p := NewProbabilistic(l.Circuit, l.Key, 0.05, 31)
-	p.QueryBatch([]bool{true, true, false, false, true})
-	if p.Queries() != circuit.BatchLanes {
-		t.Errorf("queries = %d, want %d", p.Queries(), circuit.BatchLanes)
-	}
-}
-
 func TestSignalProbsBatchMatchesScalar(t *testing.T) {
-	// Same circuit, same eps: batch-path and scalar-path signal
+	// Same circuit, same eps: blocked-path and scalar-path signal
 	// probabilities must agree statistically.
 	l := lockedC17(t)
 	x := []bool{true, false, true, true, false}
 	const ns = 6400
 	batch := SignalProbs(context.Background(), NewProbabilistic(l.Circuit, l.Key, 0.08, 41), x, ns)
-	// Force the scalar path through a wrapper that hides QueryBatch.
+	// Force the scalar path through a wrapper that hides QueryBlock.
 	scalarOracle := scalarOnly{NewProbabilistic(l.Circuit, l.Key, 0.08, 42)}
 	scalar := SignalProbs(context.Background(), scalarOracle, x, ns)
 	for i := range batch {
@@ -236,25 +227,15 @@ func TestSignalProbsBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// scalarOnly hides the BatchQuerier/BlockQuerier interfaces of the
-// wrapped oracle. Explicit delegation, not embedding: an embedded
-// *Probabilistic would promote QueryBatch and defeat the hiding.
+// scalarOnly hides the BlockQuerier interface of the wrapped oracle.
+// Explicit delegation, not embedding: an embedded *Probabilistic would
+// promote QueryBlock and defeat the hiding.
 type scalarOnly struct{ p *Probabilistic }
 
 func (s scalarOnly) Query(x []bool) []bool { return s.p.Query(x) }
 func (s scalarOnly) NumInputs() int        { return s.p.NumInputs() }
 func (s scalarOnly) NumOutputs() int       { return s.p.NumOutputs() }
 func (s scalarOnly) Queries() int64        { return s.p.Queries() }
-
-// batchOnly exposes QueryBatch but hides QueryBlock, pinning the
-// single-word batch path for parity tests.
-type batchOnly struct{ p *Probabilistic }
-
-func (b batchOnly) Query(x []bool) []bool        { return b.p.Query(x) }
-func (b batchOnly) QueryBatch(x []bool) []uint64 { return b.p.QueryBatch(x) }
-func (b batchOnly) NumInputs() int               { return b.p.NumInputs() }
-func (b batchOnly) NumOutputs() int              { return b.p.NumOutputs() }
-func (b batchOnly) Queries() int64               { return b.p.Queries() }
 
 func TestPatternCountsBatchTotals(t *testing.T) {
 	l := lockedC17(t)
@@ -391,9 +372,6 @@ func TestQueryBlockCountsQueries(t *testing.T) {
 	if want := int64(2 * circuit.BatchLanes); p.Queries() != want {
 		t.Errorf("queries = %d, want %d", p.Queries(), want)
 	}
-	if p.ScalarQueries() != 0 || p.BatchQueries() != p.Queries() {
-		t.Errorf("breakdown %d/%d, want 0/%d", p.ScalarQueries(), p.BatchQueries(), p.Queries())
-	}
 }
 
 func TestBlockWordsBoundsPanics(t *testing.T) {
@@ -426,9 +404,9 @@ func TestBlockWordsBoundsPanics(t *testing.T) {
 // TestSignalProbsBlockWidthParity is the oracle-level face of the
 // determinism contract: the estimated probabilities AND the recorded
 // query counts must be byte-identical at every block width and on the
-// pre-block single-word batch path, given the same noise seed. The
-// comparisons are exact — identical one-counts divided by identical
-// totals — not statistical.
+// single-word path (W=1), given the same noise seed. The comparisons
+// are exact — identical one-counts divided by identical totals — not
+// statistical.
 func TestSignalProbsBlockWidthParity(t *testing.T) {
 	l := lockedC17(t)
 	x := []bool{true, false, true, true, false}
@@ -436,10 +414,11 @@ func TestSignalProbsBlockWidthParity(t *testing.T) {
 	const eps, seed = 0.07, 93
 
 	refOracle := NewProbabilistic(l.Circuit, l.Key, eps, seed)
-	ref := SignalProbs(context.Background(), batchOnly{refOracle}, x, ns)
+	refOracle.SetBlockWords(1)
+	ref := SignalProbs(context.Background(), refOracle, x, ns)
 	refQueries := refOracle.Queries()
 
-	for _, w := range []int{1, 2, 4, 8} {
+	for _, w := range []int{2, 4, 8} {
 		p := NewProbabilistic(l.Circuit, l.Key, eps, seed)
 		p.SetBlockWords(w)
 		got := SignalProbs(context.Background(), p, x, ns)
@@ -456,10 +435,10 @@ func TestSignalProbsBlockWidthParity(t *testing.T) {
 }
 
 // TestPatternCountsBlockWidthParity checks the blocked PatternCounts
-// path tallies exactly the same patterns as the single-word batch
-// path, including the scalar remainder that follows the whole-word
-// blocks (the rng hand-off between blocked and scalar sampling must
-// be width-independent too).
+// path tallies exactly the same patterns at every block width as on
+// the single-word path (W=1), including the scalar remainder that
+// follows the whole-word blocks (the rng hand-off between blocked and
+// scalar sampling must be width-independent too).
 func TestPatternCountsBlockWidthParity(t *testing.T) {
 	l := lockedC17(t)
 	x := []bool{false, true, true, false, true}
@@ -467,10 +446,11 @@ func TestPatternCountsBlockWidthParity(t *testing.T) {
 	const eps, seed = 0.09, 77
 
 	refOracle := NewProbabilistic(l.Circuit, l.Key, eps, seed)
-	ref := PatternCounts(context.Background(), batchOnly{refOracle}, x, ns)
+	refOracle.SetBlockWords(1)
+	ref := PatternCounts(context.Background(), refOracle, x, ns)
 	refQueries := refOracle.Queries()
 
-	for _, w := range []int{1, 2, 4, 8} {
+	for _, w := range []int{2, 4, 8} {
 		p := NewProbabilistic(l.Circuit, l.Key, eps, seed)
 		p.SetBlockWords(w)
 		got := PatternCounts(context.Background(), p, x, ns)
