@@ -128,13 +128,27 @@ func newFlipStream(eps float64, rng *rand.Rand) flipStream {
 }
 
 // draw samples a geometric gap (number of non-flipped lanes before the
-// next flipped one). drawFlipMasks open-codes this same arithmetic.
+// next flipped one) with refGap; drawFlipMasks draws the same gaps.
 func (fs *flipStream) draw() int64 {
 	u := fs.rng.Float64()
 	for u == 0 {
 		u = fs.rng.Float64()
 	}
-	g := int64(math.Log(u) * fs.invLog)
+	return refGap(u, fs.invLog)
+}
+
+// refGap is the specification of the geometric gap for u in (0, 1) and
+// invLog = 1/log(1-eps): the truncated product of math.Log(u) and
+// invLog, clamped at zero. A product at or past maxFlipGap, far beyond
+// any pass's lanes, saturates there: it ends the pass without
+// overflowing int64 (which would otherwise happen once eps ≲ 1e-19)
+// and keeps gap += 1+g from wrapping.
+func refGap(u, invLog float64) int64 {
+	y := math.Log(u) * invLog
+	if !(y < maxFlipGap) {
+		return maxFlipGap
+	}
+	g := int64(y)
 	if g < 0 {
 		g = 0
 	}

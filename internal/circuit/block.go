@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
 // BatchLanes is the number of independent samples evaluated per
 // block word: one per bit of a machine word.
@@ -63,22 +59,22 @@ func grow(buf []uint64, n int) []uint64 {
 // model. All lanes share the same primary-input and key values —
 // exactly the oracle-sampling workload of eq. 1 — so a
 // signal-probability query with Ns samples costs ceil(Ns/(64·words))
-// full-circuit passes instead of Ns. Gate flips are drawn with
-// geometric skipping: the expected number of rng draws per gate and
+// full-circuit passes instead of Ns. Gate flips are drawn from src
+// with geometric skipping: the expected number of draws per gate and
 // word is 64·eps + O(1), not 64.
 //
 // The result holds NumPOs rows: output i's word k sits at
-// out[i*words+k]. Determinism contract: with the same rng state, word
-// column k of a blocked pass is bit-identical to the k-th of `words`
-// successive single-word passes — the per-word flip streams are drawn
-// in exactly that order — so attack trajectories (keys, DIPs,
-// iteration and oracle-query counts) are independent of the block
-// width. block_test.go checks this against the single-word reference
-// evaluator kept in batch_test.go.
+// out[i*words+k]. Determinism contract: with the same stream state,
+// word column k of a blocked pass is bit-identical to the k-th of
+// `words` successive single-word passes over rand.New(src) — the
+// per-word flip streams are drawn in exactly that order — so attack
+// trajectories (keys, DIPs, iteration and oracle-query counts) are
+// independent of the block width. block_test.go checks this against
+// the single-word reference evaluator kept in batch_test.go.
 //
 // out, if cap-sufficient (NumPOs·words), backs the result; scratch may
 // be nil (allocates internally) and is otherwise reused across calls.
-func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, rng *rand.Rand, words int, scratch *BlockScratch) []uint64 {
+func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, src *NoiseSource, words int, scratch *BlockScratch) []uint64 {
 	if len(pi) != len(c.PIs) || len(key) != len(c.Keys) {
 		panic(fmt.Sprintf("circuit %q: EvalNoisyBlockInto input width mismatch (%d/%d PIs, %d/%d keys)",
 			c.Name, len(pi), len(c.PIs), len(key), len(c.Keys)))
@@ -112,12 +108,12 @@ func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, 
 	// Flip masks are pre-drawn word-column by word-column — one
 	// geometric-skipping stream per column, columns consumed in stream
 	// order — which is what makes the blocked pass bit-identical to
-	// `words` successive single-word passes over the same rng.
+	// `words` successive single-word passes over the same stream.
 	var masks []uint64
 	if eps > 0 {
 		masks = grow(scratch.masks, len(p.ops)*words)
 		scratch.masks = masks
-		drawFlipMasks(masks, len(p.ops), words, eps, rng)
+		drawFlipMasks(masks, len(p.ops), words, eps, src)
 	}
 
 	evalOps(p, w, masks, words)
@@ -131,53 +127,6 @@ func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, 
 		copy(out[i*words:(i+1)*words], w[po*words:(po+1)*words])
 	}
 	return out
-}
-
-// drawFlipMasks fills one flip-mask column per block word: bit l of
-// masks[i*words+k] says whether op i's lane l flips in word k (row
-// major — one contiguous row per op, which is what the dense apply
-// loop in the eval kernels reads). Rather than producing a mask per
-// (op, word) — most of which are zero at the small eps values the
-// paper studies — it clears the whole array once (a memclr) and then
-// walks each column's flip events directly, jumping from absolute lane
-// position to absolute lane position. The rng draw sequence is one
-// geometric draw per flip event, in stream order, with the leftover
-// gap discarded at the end of the column: exactly the per-gate flip
-// stream of the single-word reference evaluator in batch_test.go,
-// which the parity tests hold it to.
-func drawFlipMasks(masks []uint64, nops, words int, eps float64, rng *rand.Rand) {
-	if eps >= 1 {
-		fill(masks, ^uint64(0))
-		return
-	}
-	for i := range masks {
-		masks[i] = 0
-	}
-	limit := int64(nops) * BatchLanes
-	// The geometric draw is open-coded (uniform in (0,1], log, truncate,
-	// clamp at zero), with one initial draw per column and one more
-	// after every flip. Keeping it inline matters because a helper would
-	// sit past the compiler's inline budget and the call overhead would
-	// be paid once per flip event.
-	invLog := 1 / math.Log1p(-eps)
-	for k := 0; k < words; k++ {
-		pos := int64(-1)
-		for {
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
-			g := int64(math.Log(u) * invLog)
-			if g < 0 {
-				g = 0
-			}
-			pos += 1 + g
-			if pos >= limit {
-				break
-			}
-			masks[int(pos>>6)*words+k] |= 1 << uint(pos&63)
-		}
-	}
 }
 
 func fill(row []uint64, v uint64) {

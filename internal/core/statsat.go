@@ -1016,9 +1016,11 @@ func EstimateGateError(ctx context.Context, locked *circuit.Circuit, orc oracle.
 	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x9e3779b9))
 	inputs := metrics.RandomInputSet(locked, opts.NProbe, rng)
+	var probsBuf []float64 // reused by the oracle side and the whole grid sweep
 	oracleU := make([][]float64, len(inputs))
 	for j, x := range inputs {
-		oracleU[j] = oracle.Uncertainties(oracle.SignalProbs(ctx, orc, x, opts.Ns))
+		probsBuf = oracle.SignalProbsInto(ctx, orc, x, opts.Ns, probsBuf)
+		oracleU[j] = oracle.Uncertainties(probsBuf)
 	}
 	randKeys := make([][]bool, opts.NKeys)
 	for i := range randKeys {
@@ -1027,7 +1029,6 @@ func EstimateGateError(ctx context.Context, locked *circuit.Circuit, orc oracle.
 
 	best, bestFrac := 1e-4, -1.0
 	simU := make([]float64, locked.NumPOs())
-	var probsBuf []float64 // reused across the whole grid sweep
 	for eps := 1e-4; eps <= 0.25; eps *= opts.Step {
 		if ctx.Err() != nil {
 			return best

@@ -249,7 +249,7 @@ func TestValidateTape(t *testing.T) {
 	}
 }
 
-// TestNoiseDrawSkipEquivalence pins the countingSource contract: a
+// TestNoiseDrawSkipEquivalence pins the circuit.NoiseSource contract: a
 // fresh oracle skipped n draws continues the stream exactly where a
 // used oracle that consumed n draws is.
 func TestNoiseDrawSkipEquivalence(t *testing.T) {

@@ -71,54 +71,12 @@ type Probabilistic struct {
 	key        []bool
 	eps        float64
 	rng        *rand.Rand
-	src        *countingSource
+	src        *circuit.NoiseSource
 	scratch    []bool
 	blockWords int
 	bscratch   circuit.BlockScratch
 	blockBuf   []uint64
 	queries    int64
-}
-
-// countingSource wraps the seeded math/rand source so the oracle can
-// report — and on resume, restore — its exact position in the noise
-// stream (NoiseCounter). Every Int63/Uint64 call advances the
-// underlying generator by exactly one step, so the count is a complete
-// description of the stream position regardless of which *rand.Rand
-// methods consumed it.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	// math/rand's seeded source implements Source64; keeping the
-	// wrapper on the 64-bit path preserves rand.Rand's value stream
-	// bit-for-bit versus an unwrapped rand.NewSource.
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
-
-// skip advances the stream by n draws. One Uint64 call consumes the
-// same single generator step as any other draw, so skipping n draws
-// lands on the identical position a real run reached after n draws.
-func (s *countingSource) skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.Uint64()
-	}
 }
 
 // BlockQuerier is implemented by oracles that sample bit-parallel, in
@@ -169,8 +127,8 @@ func NewProbabilistic(c *circuit.Circuit, key []bool, eps float64, seed int64) *
 	if eps < 0 || eps > 1 {
 		panic(fmt.Sprintf("oracle: gate error probability %v out of [0,1]", eps))
 	}
-	src := newCountingSource(seed)
-	//lint:ignore globalrand countingSource wraps the rand.NewSource(seed) built inside newCountingSource one call up; seed provenance stays auditable and the wrapper only counts draws for checkpoint/resume
+	src := circuit.NewNoiseSource(seed)
+	//lint:ignore globalrand circuit.NoiseSource wraps the rand.NewSource(seed) built inside circuit.NewNoiseSource one call up; seed provenance stays auditable and the wrapper only counts draws for checkpoint/resume
 	rng := rand.New(src)
 	return &Probabilistic{
 		c:          c,
@@ -185,13 +143,13 @@ func NewProbabilistic(c *circuit.Circuit, key []bool, eps float64, seed int64) *
 
 // NoiseDraws implements NoiseCounter: the number of noise-source draws
 // consumed so far (the oracle's exact position in its noise stream).
-func (o *Probabilistic) NoiseDraws() uint64 { return o.src.n }
+func (o *Probabilistic) NoiseDraws() uint64 { return o.src.Draws() }
 
 // SkipNoiseDraws implements NoiseCounter: advance the noise stream by
 // n draws without evaluating anything. Resume support — a freshly
 // seeded oracle skipped to a recorded draw count produces the same
 // noise a continuously running oracle would from that point on.
-func (o *Probabilistic) SkipNoiseDraws(n uint64) { o.src.skip(n) }
+func (o *Probabilistic) SkipNoiseDraws(n uint64) { o.src.Skip(n) }
 
 // Query implements Oracle: one noisy evaluation.
 func (o *Probabilistic) Query(x []bool) []bool {
@@ -209,7 +167,7 @@ func (o *Probabilistic) QueryBlock(x []bool, words int) []uint64 {
 	}
 	o.queries += int64(words) * circuit.BatchLanes
 	//lint:ignore bufretain o.blockBuf IS the reusable scratch the contract is about: the oracle owns it and hands out aliases; callers, not the owner, must copy
-	o.blockBuf = o.c.EvalNoisyBlockInto(o.blockBuf, x, o.key, o.eps, o.rng, words, &o.bscratch)
+	o.blockBuf = o.c.EvalNoisyBlockInto(o.blockBuf, x, o.key, o.eps, o.src, words, &o.bscratch)
 	return o.blockBuf
 }
 
