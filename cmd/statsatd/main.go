@@ -49,7 +49,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxJobs  = fs.Int("maxjobs", 256, "retained jobs before oldest finished jobs are evicted")
 		queue    = fs.Int("queue", 0, "queued-job bound (0 = 2*maxjobs)")
 		maxBody  = fs.Int64("maxbody", 8<<20, "POST body size limit in bytes (netlist uploads included)")
-		traceBuf = fs.Int("tracebuf", 0, "per-job trace replay ring capacity in events (0 = 4096)")
+		traceBuf = fs.Int("tracebuf", 0, "bound on each job's trace replay ring, in events; the ring costs 176 B per retained event (0 = 4096)")
 		dataDir  = fs.String("data", "", "durable job directory: WAL + trace spill; jobs survive and resume across restarts (empty = in-memory)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		quiet    = fs.Bool("q", false, "suppress per-job lifecycle logging")

@@ -31,8 +31,9 @@ type Config struct {
 	// MaxBodyBytes bounds the POST /v1/jobs request body — netlist
 	// uploads included (default 8 MiB).
 	MaxBodyBytes int64
-	// TraceBuffer is each job's trace replay-ring capacity in events
-	// (default 4096; see trace.Stream).
+	// TraceBuffer bounds each job's trace replay ring, in events
+	// (default 4096; see trace.Stream). The ring costs 176 B per event
+	// it retains, so a short job holds only its own events.
 	TraceBuffer int
 	// DataDir, when set, enables the durable job fabric: jobs, specs,
 	// state transitions, oracle tapes and checkpoints are logged to a

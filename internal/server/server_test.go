@@ -551,39 +551,76 @@ func TestStoreEvictionOverHTTP(t *testing.T) {
 }
 
 // TestTraceStreamReplaysForLateSubscriber verifies a subscriber that
-// attaches after completion still receives the buffered trace.
+// attaches after completion still receives the buffered trace: all of
+// it under the default bound, and exactly the newest TraceBuffer events
+// once a short bound has wrapped the replay ring.
 func TestTraceStreamReplaysForLateSubscriber(t *testing.T) {
-	srv, hts := testServer(t, Config{Workers: 1, MaxJobs: 4})
-	id := submit(t, hts.URL, quickSpec("statsat"))
-	waitTerminal(t, srv, id)
+	fetch := func(t *testing.T, base, id string) []trace.Event {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		dec := json.NewDecoder(resp.Body)
+		var evs []trace.Event
+		for {
+			var ev trace.Event
+			if err := dec.Decode(&ev); err != nil {
+				break
+			}
+			evs = append(evs, ev)
+		}
+		if len(evs) == 0 {
+			t.Fatal("no replayed events")
+		}
+		return evs
+	}
 
-	resp, err := http.Get(hts.URL + "/v1/jobs/" + id + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	var types []trace.EventType
-	for {
-		var ev trace.Event
-		if err := dec.Decode(&ev); err != nil {
-			break
+	t.Run("whole", func(t *testing.T) {
+		srv, hts := testServer(t, Config{Workers: 1, MaxJobs: 4})
+		id := submit(t, hts.URL, quickSpec("statsat"))
+		waitTerminal(t, srv, id)
+		evs := fetch(t, hts.URL, id)
+		if evs[0].Type != trace.AttackStart {
+			t.Errorf("first replayed event = %s, want attack_start", evs[0].Type)
 		}
-		types = append(types, ev.Type)
-	}
-	if len(types) == 0 {
-		t.Fatal("no replayed events")
-	}
-	if types[0] != trace.AttackStart {
-		t.Errorf("first replayed event = %s, want attack_start", types[0])
-	}
-	saw := map[trace.EventType]bool{}
-	for _, ty := range types {
-		saw[ty] = true
-	}
-	for _, want := range []trace.EventType{trace.IterStart, trace.AttackEnd} {
-		if !saw[want] {
-			t.Errorf("replay missing %s (got %v)", want, types)
+		saw := map[trace.EventType]bool{}
+		for _, ev := range evs {
+			saw[ev.Type] = true
 		}
-	}
+		for _, want := range []trace.EventType{trace.IterStart, trace.AttackEnd} {
+			if !saw[want] {
+				t.Errorf("replay missing %s (got %v)", want, evs)
+			}
+		}
+	})
+
+	t.Run("wrapped", func(t *testing.T) {
+		const bound = 8
+		srv, hts := testServer(t, Config{Workers: 1, MaxJobs: 4, TraceBuffer: bound})
+		id := submit(t, hts.URL, quickSpec("sat"))
+		waitTerminal(t, srv, id)
+		evs := fetch(t, hts.URL, id)
+		if len(evs) != bound {
+			t.Fatalf("replayed %d events, want the last %d", len(evs), bound)
+		}
+		last := evs[bound-1]
+		if last.Type != trace.AttackEnd {
+			t.Errorf("last replayed event = %s, want attack_end", last.Type)
+		}
+		if last.Seq <= bound {
+			t.Fatalf("job emitted %d events; the ring of %d never wrapped", last.Seq, bound)
+		}
+		for i, ev := range evs {
+			if want := last.Seq - int64(bound-1-i); ev.Seq != want {
+				t.Fatalf("replayed event %d has seq %d, want %d", i, ev.Seq, want)
+			}
+		}
+		st := getStatus(t, hts.URL, id)
+		if st.TraceBuffered != bound || st.TraceDropped != last.Seq-bound {
+			t.Errorf("status trace_buffered %d trace_dropped %d, want %d and %d",
+				st.TraceBuffered, st.TraceDropped, bound, last.Seq-bound)
+		}
+	})
 }

@@ -13,54 +13,68 @@ import "sync"
 // (docs/SERVER.md), but it is attack-agnostic: anything that accepts a
 // Tracer can be observed live through it.
 //
-// Delivery never blocks the attack. The replay buffer is a ring: once
-// full, the oldest events are evicted and counted in Dropped. A
-// subscriber whose channel is full loses events too, counted per
-// subscription — consumers that must not miss events size their buffer
-// accordingly or drain promptly.
+// Delivery never blocks the attack. The replay buffer is a ring with a
+// bound: it starts empty and grows with the events it retains, so a
+// short run pays only for its own events, and once it holds the bound
+// the oldest events are evicted and counted in Dropped. A subscriber
+// whose channel is full loses events too, counted per subscription —
+// consumers that must not miss events size their buffer accordingly or
+// drain promptly.
 type Stream struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// ring holds the buffered events, oldest at start. It grows by
+	// appending (start stays 0) until len(ring) == max, then wraps.
 	ring    []Event
-	start   int // index of the oldest buffered event
-	count   int // buffered events
+	max     int
+	start   int
 	dropped int64
 	subs    map[*StreamSub]struct{}
 	closed  bool
 }
 
 // streamDefaultBuffer bounds the replay ring when NewStream is given a
-// non-positive capacity; streamSubBuffer is the default per-subscriber
-// channel slack beyond the replay.
+// non-positive bound; streamMinRing is the ring's first allocation;
+// streamSubBuffer is the default per-subscriber channel slack beyond
+// the replay.
 const (
 	streamDefaultBuffer = 4096
+	streamMinRing       = 8
 	streamSubBuffer     = 256
 )
 
 // NewStream returns an open stream retaining up to max events for
-// replay (max <= 0 selects a default of 4096).
+// replay (max <= 0 selects a default of 4096). The bound costs nothing
+// up front: the ring's memory follows the events it holds.
 func NewStream(max int) *Stream {
 	if max <= 0 {
 		max = streamDefaultBuffer
 	}
-	return &Stream{ring: make([]Event, max), subs: map[*StreamSub]struct{}{}}
+	return &Stream{max: max, subs: map[*StreamSub]struct{}{}}
 }
 
-// Emit implements Tracer: buffer the event (evicting the oldest when
-// the ring is full) and offer it to every live subscriber without
-// blocking.
+// Emit implements Tracer: buffer the event (growing the ring up to its
+// bound, then evicting the oldest) and offer it to every live
+// subscriber without blocking.
 func (s *Stream) Emit(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if s.count == len(s.ring) {
-		s.start = (s.start + 1) % len(s.ring)
-		s.count--
+	if len(s.ring) < s.max {
+		if len(s.ring) == cap(s.ring) {
+			// Double, capped at the bound. The ring has not wrapped
+			// yet, so the events copy over in order.
+			grown := make([]Event, len(s.ring), min(max(2*cap(s.ring), streamMinRing), s.max))
+			copy(grown, s.ring)
+			s.ring = grown
+		}
+		s.ring = append(s.ring, ev)
+	} else {
+		s.ring[s.start] = ev
+		s.start = (s.start + 1) % s.max
 		s.dropped++
 	}
-	s.ring[(s.start+s.count)%len(s.ring)] = ev
-	s.count++
 	for sub := range s.subs {
 		select {
 		case sub.ch <- ev:
@@ -106,7 +120,7 @@ func (s *Stream) Dropped() int64 {
 func (s *Stream) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.count
+	return len(s.ring)
 }
 
 // StreamSub is one live subscription. Receive from C until it closes;
@@ -125,17 +139,21 @@ type StreamSub struct {
 // already holds every event still buffered (the replay) and then
 // receives each later event as it is emitted. buf is extra channel
 // capacity beyond the replay for the live tail (buf <= 0 selects a
-// default of 256). On a closed stream the channel holds the replay and
-// is already closed.
+// default of 256). On a closed stream the channel holds the replay
+// alone, since nothing can follow it, and is already closed.
 func (s *Stream) Subscribe(buf int) *StreamSub {
 	if buf <= 0 {
 		buf = streamSubBuffer
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ch := make(chan Event, s.count+buf)
-	for i := 0; i < s.count; i++ {
-		//lint:ignore lockscope ch is freshly made with capacity count+buf, so this replay fill of count events can never block
+	n := len(s.ring)
+	if !s.closed {
+		n += buf
+	}
+	ch := make(chan Event, n)
+	for i := range s.ring {
+		//lint:ignore lockscope ch is freshly made with capacity at least len(s.ring), so this replay fill can never block
 		ch <- s.ring[(s.start+i)%len(s.ring)]
 	}
 	sub := &StreamSub{C: ch, s: s, ch: ch}

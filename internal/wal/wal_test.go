@@ -281,3 +281,45 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Fatalf("%d distinct records, want %d", len(seen), writers*per)
 	}
 }
+
+// FuzzOpen writes arbitrary bytes as a log file and opens it. Open
+// must succeed, the records it returns must re-encode to a prefix of
+// the input, the file must be cut to exactly that prefix, and opening
+// it again must return the same records.
+func FuzzOpen(f *testing.F) {
+	// Seeds: TestTornWriteTable's cases, a four-record log cut at every
+	// byte of its last record, plus the whole log.
+	var full []byte
+	want := payloads(4)
+	for _, p := range want {
+		full = encode(full, p)
+	}
+	for cut := len(full) - headerSize - len(want[3]); cut <= len(full); cut++ {
+		f.Add(full[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs := openT(t, path)
+		closeT(t, l)
+		var prefix []byte
+		for _, r := range recs {
+			prefix = encode(prefix, r)
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("%d records re-encode to %d bytes that are not a prefix of the %d-byte input", len(recs), len(prefix), len(data))
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("file holds %d bytes after Open, want the %d-byte valid prefix", len(got), len(prefix))
+		}
+		l, again := openT(t, path)
+		closeT(t, l)
+		wantRecords(t, again, recs)
+	})
+}
