@@ -20,6 +20,7 @@ import (
 	"syscall"
 
 	"statsat/internal/circuit"
+	"statsat/internal/engine"
 	"statsat/internal/gen"
 	"statsat/internal/lock"
 	"statsat/internal/netio"
@@ -92,7 +93,7 @@ func main() {
 	} else if err := netio.Write(os.Stdout, locked.Circuit, forced); err != nil {
 		fatal(err)
 	}
-	keyStr := formatKey(locked.Key)
+	keyStr := engine.BitString(locked.Key)
 	if *keyOut != "" {
 		if err := os.WriteFile(*keyOut, []byte(keyStr+"\n"), 0o644); err != nil {
 			fatal(err)
@@ -121,18 +122,6 @@ func loadCircuit(in, benchmark string, scale int, forced netio.Format) (*circuit
 		return bm.BuildScaled(scale), nil
 	}
 	return nil, fmt.Errorf("lockgen: need -in or -benchmark")
-}
-
-func formatKey(key []bool) string {
-	b := make([]byte, len(key))
-	for i, v := range key {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }
 
 func fatal(err error) {

@@ -55,9 +55,3 @@ func TestLoadCircuitErrors(t *testing.T) {
 		t.Error("want error for missing file")
 	}
 }
-
-func TestFormatKey(t *testing.T) {
-	if got := formatKey([]bool{false, true, true}); got != "011" {
-		t.Errorf("formatKey = %q", got)
-	}
-}

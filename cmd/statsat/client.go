@@ -25,14 +25,14 @@ type clientOptions struct {
 	eps       float64
 	attack    string
 	seed      int64
-	verbose   bool
+	tracer    trace.Tracer // -trace and -v sinks; nil when neither is set
 	opts      server.SpecOptions
 }
 
 // runServer submits the job to a statsatd daemon instead of attacking
 // locally: it uploads the netlist inline, follows the NDJSON trace
-// stream (rendered human-readably under -v), and prints the final
-// outcome. Cancelling ctx (Ctrl-C) DELETEs the job so the daemon
+// stream into the same sinks a local run writes (-trace, -v), and
+// prints the final outcome. Cancelling ctx (Ctrl-C) DELETEs the job so the daemon
 // interrupts the attack and the partial result is still reported.
 // Returns the process exit code: 0 clean, 1 interrupted or failed.
 func runServer(ctx context.Context, co clientOptions) int {
@@ -64,7 +64,7 @@ func runServer(ctx context.Context, co clientOptions) int {
 	// On Ctrl-C the stream request dies with ctx; cancel the job
 	// server-side so it settles (with its best-effort partial outcome)
 	// instead of running on unobserved.
-	streamErr := followTrace(ctx, base, id, co.verbose)
+	streamErr := followTrace(ctx, base, id, co.tracer)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "statsat: interrupted — cancelling job", id)
 		cancelJob(base, id)
@@ -161,12 +161,13 @@ func submitJob(ctx context.Context, base string, sp *server.Spec) (string, error
 }
 
 // followTrace streams the job's NDJSON trace until the job finishes or
-// ctx is cancelled. Events render through the same formatter as the
-// local -v path, so both modes read identically.
+// ctx is cancelled, emitting each event into tr (nil drops them). The
+// events keep the daemon's seq and t_ns, so a -trace file matches the
+// served stream and -v reads as it does on a local run.
 // The initial connect retries on the same backoff schedule as the
 // submit; once the stream is open, a mid-stream error is final (the
 // follow-up status fetch reports the job's fate either way).
-func followTrace(ctx context.Context, base, id string, verbose bool) error {
+func followTrace(ctx context.Context, base, id string, tr trace.Tracer) error {
 	var resp *http.Response
 	err := withBackoff(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/trace", nil)
@@ -198,8 +199,8 @@ func followTrace(ctx context.Context, base, id string, verbose bool) error {
 			}
 			return err
 		}
-		if verbose {
-			fmt.Fprintln(os.Stderr, ev.String())
+		if tr != nil {
+			tr.Emit(ev)
 		}
 	}
 }

@@ -1,16 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"statsat/internal/server"
+	"statsat/internal/trace"
 )
 
 // shortDelays shrinks the backoff schedule so retry tests run in
@@ -143,10 +148,61 @@ func TestFollowTraceRetriesConnect(t *testing.T) {
 	hts := httptest.NewServer(h)
 	defer hts.Close()
 
-	if err := followTrace(context.Background(), hts.URL, "j000001", false); err != nil {
+	if err := followTrace(context.Background(), hts.URL, "j000001", nil); err != nil {
 		t.Fatalf("follow through flaky connects: %v", err)
 	}
 	if *calls != 3 {
 		t.Fatalf("calls=%d, want 3", *calls)
+	}
+}
+
+// TestFollowTraceWritesTraceSinks follows a served three-event stream
+// into the sinks -trace and -v build: the -trace file must be
+// byte-identical to the served body, and the text sink must render
+// each event as its String form.
+func TestFollowTraceWritesTraceSinks(t *testing.T) {
+	events := []trace.Event{
+		{Seq: 1, TNs: 10, Type: trace.AttackStart, Attack: "sat", Instance: -1},
+		{Seq: 2, TNs: 2500, Type: trace.IterStart, Instance: 0, Iter: 1, OracleQueries: 3},
+		{Seq: 3, TNs: 91000, Type: trace.AttackEnd, Instance: -1,
+			Totals: &trace.TotalsInfo{Keys: 1, Iterations: 1, OracleQueries: 3, DurationNs: 91000}},
+	}
+	var served bytes.Buffer
+	enc := json.NewEncoder(&served)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write(served.Bytes())
+	}))
+	defer hts.Close()
+
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	file, closeTrace, err := openTrace(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := followTrace(context.Background(), hts.URL, "j000001", trace.Multi(file, trace.NewText(&text))); err != nil {
+		t.Fatal(err)
+	}
+	closeTrace()
+
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, served.Bytes()) {
+		t.Errorf("-trace file differs from the served stream:\ngot:  %s\nwant: %s", got, served.Bytes())
+	}
+	var want strings.Builder
+	for _, ev := range events {
+		want.WriteString(ev.String() + "\n")
+	}
+	if text.String() != want.String() {
+		t.Errorf("text sink:\ngot:  %q\nwant: %q", text.String(), want.String())
 	}
 }

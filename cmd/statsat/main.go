@@ -24,6 +24,7 @@ import (
 	"statsat/internal/attack"
 	"statsat/internal/circuit"
 	"statsat/internal/core"
+	"statsat/internal/engine"
 	"statsat/internal/metrics"
 	"statsat/internal/netio"
 	"statsat/internal/oracle"
@@ -51,7 +52,7 @@ func run() int {
 		nInst    = flag.Int("ninst", 1, "maximum SAT instances")
 		uLam     = flag.Float64("ulambda", 0.25, "uncertainty threshold U_lambda")
 		eLam     = flag.Float64("elambda", 0.30, "estimated-BER threshold E_lambda")
-		epsG     = flag.Float64("epsg", -1, "attacker's gate-error estimate (-1 = estimate via §V-E; ignored when -eps 0)")
+		epsG     = flag.Float64("epsg", -1, "attacker's gate-error estimate (-1 = estimate via §V-E; ignored when -eps 0). -server mode never estimates: it sends -1 as 0, which statsatd reads as the true -eps")
 		seed     = flag.Int64("seed", 1, "PRNG seed")
 		verbose  = flag.Bool("v", false, "log attack progress and stream trace events to stderr")
 		traceOut = flag.String("trace", "", "write a JSON-lines event trace to this file (schema: docs/OBSERVABILITY.md)")
@@ -68,6 +69,11 @@ func run() int {
 	// In -server mode the same signal DELETEs the remote job.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	tracer, closeTrace, err := openTrace(*traceOut, *verbose)
+	if err != nil {
+		return fail(err)
+	}
+	defer closeTrace()
 	if *srvURL != "" {
 		keySrc := *keyStr
 		if *keyFile != "" {
@@ -83,7 +89,7 @@ func run() int {
 		}
 		return runServer(ctx, clientOptions{
 			serverURL: *srvURL, in: *in, format: *format, key: keySrc,
-			eps: *eps, attack: *mode, seed: *seed, verbose: *verbose,
+			eps: *eps, attack: *mode, seed: *seed, tracer: tracer,
 			opts: server.SpecOptions{
 				Ns: *ns, NSatis: *nSatis, NEval: *nEval, NInst: *nInst,
 				ULambda: *uLam, ELambda: *eLam, EpsG: epsGuess,
@@ -110,12 +116,6 @@ func run() int {
 	} else {
 		orc = oracle.NewDeterministic(locked, key)
 	}
-
-	tracer, closeTrace, err := openTrace(*traceOut, *verbose)
-	if err != nil {
-		return fail(err)
-	}
-	defer closeTrace()
 
 	interrupted := false
 	switch *mode {
@@ -195,7 +195,7 @@ func run() int {
 				return fail(err)
 			}
 			fmt.Printf("key %d: FM=%.4f HD=%.4f iters=%d %s%s\n",
-				i, k.FM, k.HD, k.Iterations, formatKey(k.Key), marker)
+				i, k.FM, k.HD, k.Iterations, engine.BitString(k.Key), marker)
 		}
 	default:
 		return fail(fmt.Errorf("unknown attack %q (want statsat, psat or sat)", *mode))
@@ -244,7 +244,7 @@ func reportBaseline(w io.Writer, name string, res *attack.Result, locked *circui
 		return err
 	}
 	fmt.Fprintf(w, "%s: key=%s iterations=%d time=%v queries=%d%s\n",
-		name, formatKey(res.Key), res.Iterations, res.Duration, res.OracleQueries, marker)
+		name, engine.BitString(res.Key), res.Iterations, res.Duration, res.OracleQueries, marker)
 	return nil
 }
 
@@ -284,18 +284,6 @@ func loadKey(keyStr, keyFile string, want int) ([]bool, error) {
 		}
 	}
 	return key, nil
-}
-
-func formatKey(key []bool) string {
-	b := make([]byte, len(key))
-	for i, v := range key {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }
 
 func fail(err error) int {

@@ -55,15 +55,6 @@ func TestLoadKeyErrors(t *testing.T) {
 	}
 }
 
-func TestFormatKey(t *testing.T) {
-	if got := formatKey([]bool{true, false, true}); got != "101" {
-		t.Errorf("formatKey = %q", got)
-	}
-	if got := formatKey(nil); got != "" {
-		t.Errorf("formatKey(nil) = %q", got)
-	}
-}
-
 // TestReportBaselineMarksCorrectKey checks the SAT/PSAT report line
 // against ground truth: the true key of an RLL-locked c17 earns the
 // "(CORRECT)" marker, a key with one bit flipped does not.

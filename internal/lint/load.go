@@ -3,14 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -21,17 +20,15 @@ import (
 // everything else — in this repo that means only the standard library
 // — is delegated to the stdlib source importer, which reads GOROOT
 // sources. No `go list` subprocess, no export data, no x/tools.
+// _test.go files are never loaded: the determinism invariants target
+// production code, and tests legitimately use fixed ad-hoc seeds and
+// wall-clock timing.
 type Loader struct {
 	fset    *token.FileSet
 	modRoot string
 	modPath string
 	std     types.Importer
 	pkgs    map[string]*Package // by import path; nil entry = in progress
-	// IncludeTests adds _test.go files of the package itself (not
-	// external _test packages). Off by default: the determinism
-	// invariants target production code, and tests legitimately use
-	// fixed ad-hoc seeds and wall-clock timing.
-	IncludeTests bool
 }
 
 // NewLoader returns a loader rooted at the module containing dir.
@@ -174,9 +171,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 // load parses and type-checks one package (memoized). Returns
 // (nil, nil) for a directory with no non-test Go files. Files excluded
 // on the current platform — by a //go:build constraint or a
-// _GOOS/_GOARCH filename suffix — are dropped before type-checking,
-// exactly as `go build` would drop them; without this a single
-// foo_windows.go turns the whole package into a type error on linux.
+// _GOOS/_GOARCH filename suffix — are dropped before type-checking by
+// go/build's own rule (build.Default.MatchFile), exactly as `go build`
+// would drop them; without this a single foo_windows.go turns the
+// whole package into a type error on linux.
 func (l *Loader) load(path, dir string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		if p == nil {
@@ -193,22 +191,19 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
-			continue
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
 		}
-		if !fileMatchesPlatform(name) {
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if x := fileConstraint(f); x != nil && !x.Eval(buildTagSatisfied) {
-			continue
 		}
 		files = append(files, f)
 	}
@@ -216,16 +211,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		delete(l.pkgs, path)
 		return nil, nil
 	}
-	// External test packages (package foo_test) cannot be mixed into
-	// the same type-check unit; drop them even with IncludeTests.
-	base := files[0].Name.Name
-	kept := files[:0]
-	for _, f := range files {
-		if f.Name.Name == base || !strings.HasSuffix(f.Name.Name, "_test") {
-			kept = append(kept, f)
-		}
-	}
-	files = kept
 
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -246,96 +231,6 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
-}
-
-// fileConstraint returns the //go:build expression of a parsed file
-// (the constraint must precede the package clause), or nil when the
-// file is unconstrained. Legacy // +build lines are not recognised;
-// the repo is post-go1.17 throughout.
-func fileConstraint(f *ast.File) constraint.Expr {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if constraint.IsGoBuild(c.Text) {
-				if x, err := constraint.Parse(c.Text); err == nil {
-					return x
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// buildTagSatisfied evaluates one build tag for the platform the
-// linter itself runs on — the only platform whose files it can
-// type-check.
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH:
-		return true
-	case "unix":
-		return unixOS[runtime.GOOS]
-	case "cgo":
-		return false
-	}
-	// Release tags: assume the current toolchain satisfies every go1.x
-	// the tree mentions (it builds the tree).
-	return strings.HasPrefix(tag, "go1")
-}
-
-// fileMatchesPlatform applies the `go build` filename rules:
-// name_GOOS.go, name_GOARCH.go and name_GOOS_GOARCH.go (with an
-// optional _test before .go) constrain the file to that platform. A
-// bare GOOS/GOARCH filename (linux.go) is not a constraint.
-func fileMatchesPlatform(name string) bool {
-	name = strings.TrimSuffix(name, ".go")
-	name = strings.TrimSuffix(name, "_test")
-	parts := strings.Split(name, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	prev := ""
-	if len(parts) >= 3 {
-		prev = parts[len(parts)-2]
-	}
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if knownOS[prev] {
-			return prev == runtime.GOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// knownOS/knownArch mirror go/build's syslists; they only need to
-// cover names that could plausibly appear as filename suffixes.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"js": true, "linux": true, "netbsd": true, "openbsd": true,
-	"plan9": true, "solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mipsle": true, "mips64": true,
-	"mips64le": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-var unixOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"linux": true, "netbsd": true, "openbsd": true, "solaris": true,
 }
 
 // moduleImporter routes module-internal imports to the loader and

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -109,9 +110,9 @@ func TestLoadBuildConstraints(t *testing.T) {
 	}
 }
 
-// TestFileMatchesPlatform pins the filename-suffix rules, including
-// the non-rules: a bare GOOS name and an unknown suffix do not
-// constrain.
+// TestFileMatchesPlatform pins the filename-suffix rules the loader
+// takes from build.Default.MatchFile, including the non-rules: a bare
+// GOOS name and an unknown suffix do not constrain.
 func TestFileMatchesPlatform(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,9 +129,17 @@ func TestFileMatchesPlatform(t *testing.T) {
 		{"x_plan9_" + runtime.GOARCH + ".go", runtime.GOOS == "plan9"},
 		{"x_" + runtime.GOOS + "_wasm.go", runtime.GOARCH == "wasm"},
 	}
+	dir := t.TempDir()
 	for _, c := range cases {
-		if got := fileMatchesPlatform(c.name); got != c.want {
-			t.Errorf("fileMatchesPlatform(%q) = %v, want %v", c.name, got, c.want)
+		if err := os.WriteFile(filepath.Join(dir, c.name), []byte("package p\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := build.Default.MatchFile(dir, c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("MatchFile(%q) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -54,15 +54,6 @@ func bitsKey(bits []bool) string {
 	return string(buf)
 }
 
-// keyBits decodes the tape string form back into bools.
-func keyBits(s string) []bool {
-	out := make([]bool, len(s))
-	for i := range s {
-		out[i] = s[i] == '1'
-	}
-	return out
-}
-
 // Journal wraps an oracle with replay-then-record semantics. While a
 // tape prefix remains it serves recorded answers (consuming no real
 // queries and no noise); once exhausted it passes through to the
@@ -145,7 +136,7 @@ func (j *Journal) record(r TapeRecord) {
 func (j *Journal) Query(x []bool) []bool {
 	if j.replaying() {
 		if r := &j.tape[j.pos]; r.Kind == "q" && r.X == bitsKey(x) {
-			return keyBits(j.consume().Y)
+			return PatternToBits(j.consume().Y)
 		}
 		j.diverge()
 	}
@@ -251,7 +242,7 @@ func ValidateTape(tape []TapeRecord, o Oracle) error {
 }
 
 // isBits reports whether s spells a bit vector in the tape's '0'/'1'
-// form; keyBits would read any other byte as false.
+// form; PatternToBits would read any other byte as false.
 func isBits(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] != '0' && s[i] != '1' {

@@ -50,7 +50,7 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	done   chan struct{}
 
-	// sinks are the store's durability hooks (JobStore.Bind); the zero
+	// sinks are the store's durability hooks (store.bind); the zero
 	// value is the in-memory path. tape is the recorded oracle
 	// interaction prefix a recovered job replays before going live
 	// (nil for fresh jobs; see docs/SERVER.md "Persistence and
@@ -245,9 +245,14 @@ func (j *Job) finish(state State, out *Outcome, err error) {
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
-	// The terminal record reaches the store (and, on the persistent
-	// path, stable storage) before Done waiters release: a client that
-	// observed settlement can rely on the outcome surviving a crash.
+	j.settled(state)
+}
+
+// settled publishes a terminal state set under j.mu. The terminal
+// record reaches the store (and, on the persistent path, stable
+// storage) before Done waiters release: a client that observed
+// settlement can rely on the outcome surviving a crash.
+func (j *Job) settled(state State) {
 	if j.sinks.transition != nil {
 		j.sinks.transition(j, state)
 	}
@@ -260,14 +265,20 @@ func (j *Job) finish(state State, out *Outcome, err error) {
 // and publish their best-effort partial outcome. Safe to call in any
 // state, any number of times.
 func (j *Job) Cancel(cause error) {
+	// A queued job never ran: no outcome to salvage. It settles under
+	// the same lock as the check, so a worker's tryStart cannot start
+	// it in between; if the worker won, the run's own termination path
+	// is the one that counts.
 	j.mu.Lock()
 	queued := j.state == StateQueued
+	if queued {
+		j.state = StateCancelled
+		j.err = cause
+		j.finished = time.Now()
+	}
 	j.mu.Unlock()
 	if queued {
-		// Never ran: no outcome to salvage. finish ignores the call if
-		// a worker won the race and the run's own termination path is
-		// already the one that counts.
-		j.finish(StateCancelled, nil, cause)
+		j.settled(StateCancelled)
 	}
 	if j.cancel != nil {
 		j.cancel(cause)

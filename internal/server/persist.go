@@ -1,10 +1,10 @@
-// Durable job fabric: a JobStore/WorkQueue pair layered over
-// internal/wal. Every record is a one-line JSON envelope (walRec);
-// jobs, specs, lifecycle transitions, oracle tapes and engine
-// checkpoints are all records in one log. Startup replays the log,
-// rebuilds terminal jobs for listing, re-enqueues the rest with their
-// recorded oracle tape (resume-by-re-execution; see docs/SERVER.md
-// "Persistence and recovery"), and compacts the log to the survivors.
+// Durable job fabric: the store's write-ahead log over internal/wal.
+// Every record is a one-line JSON envelope (walRec); jobs, specs,
+// lifecycle transitions, oracle tapes and engine checkpoints are all
+// records in one log. Startup replays the log, rebuilds terminal jobs
+// for listing, re-enqueues the rest with their recorded oracle tape
+// (resume-by-re-execution; see docs/SERVER.md "Persistence and
+// recovery"), and compacts the log to the survivors.
 package server
 
 import (
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"statsat"
@@ -41,17 +42,8 @@ type walRec struct {
 	Tape    *statsat.TapeRecord `json:"tape,omitempty"`
 }
 
-// walStore is the persistent JobStore: a memStore for lookups plus the
-// write-ahead log as the source of truth across restarts. Log appends
-// go through the wal writer goroutine, never under a mutex.
-type walStore struct {
-	mem      *memStore
-	log      *wal.Log
-	logf     func(format string, args ...interface{})
-	ckptHook func(jobID string, n int) // tests only (Config.ckptHook)
-}
-
-func (s *walStore) warnf(format string, args ...interface{}) {
+// warnf reports a durability failure; the in-memory fabric carries on.
+func (s *store) warnf(format string, args ...interface{}) {
 	if s.logf != nil {
 		s.logf(format, args...)
 	}
@@ -59,7 +51,8 @@ func (s *walStore) warnf(format string, args ...interface{}) {
 
 // append marshals and frames one record; failures degrade durability,
 // not the in-memory job fabric, so they are logged and swallowed.
-func (s *walStore) append(r walRec, fsync bool) {
+// Callers check s.log first.
+func (s *store) append(r walRec, fsync bool) {
 	b, err := json.Marshal(r)
 	if err == nil {
 		if fsync {
@@ -73,48 +66,18 @@ func (s *walStore) append(r walRec, fsync bool) {
 	}
 }
 
-// Add implements JobStore: register in memory, then log the admission
-// and any evictions.
-func (s *walStore) Add(j *Job) ([]*Job, error) {
-	evicted, err := s.mem.Add(j)
-	if err != nil {
-		return nil, err
-	}
-	spec, merr := json.Marshal(j.Spec)
-	if merr != nil {
-		// Undo: a job whose spec cannot be logged must not outlive the
-		// process believing it is durable.
-		s.mem.Remove(j.ID)
-		return nil, fmt.Errorf("server: encoding spec for wal: %w", merr)
-	}
-	s.append(walRec{T: recJob, ID: j.ID, At: time.Now().UnixNano(), Spec: spec}, false)
-	for _, e := range evicted {
-		s.append(walRec{T: recEvict, ID: e.ID}, false)
-	}
-	return evicted, nil
-}
-
-// Remove implements JobStore (admission rollback): the evict record
-// supersedes the job's admission on replay.
-func (s *walStore) Remove(id string) {
-	s.mem.Remove(id)
-	s.append(walRec{T: recEvict, ID: id}, false)
-}
-
-func (s *walStore) Get(id string) (*Job, bool) { return s.mem.Get(id) }
-func (s *walStore) List() []*Job               { return s.mem.List() }
-func (s *walStore) Len() int                   { return s.mem.Len() }
-func (s *walStore) Persistent() bool           { return true }
-func (s *walStore) Close() error               { return s.log.Close() }
-
-// Bind implements JobStore: wire the job's durability hooks.
+// bind wires a job's durability hooks; without a log it leaves the
+// zero sinks.
 //   - transition: every lifecycle move becomes a state record; terminal
 //     ones carry the outcome and fsync before Done waiters release.
 //   - tape: each live oracle interaction is appended (group-committed,
 //     no per-record fsync — the checkpoint is the barrier).
 //   - ckpt: engine checkpoints append with fsync, making everything up
 //     to the end of that iteration durable.
-func (s *walStore) Bind(j *Job) {
+func (s *store) bind(j *Job) {
+	if s.log == nil {
+		return
+	}
 	id := j.ID
 	n := 0 // checkpoint count; sinks are invoked sequentially per job
 	j.sinks = sinks{
@@ -132,9 +95,13 @@ func (s *walStore) Bind(j *Job) {
 	}
 }
 
-// transition logs one lifecycle move; invoked by the job after its own
-// state settles (outside j.mu).
-func (s *walStore) transition(j *Job, st State) {
+// transition logs one lifecycle move: the job's own transitions, after
+// its state settles (outside j.mu), and the write-ahead queued record
+// of Server.enqueue. A no-op without a log.
+func (s *store) transition(j *Job, st State) {
+	if s.log == nil {
+		return
+	}
 	r := walRec{T: recState, ID: j.ID, State: st, At: time.Now().UnixNano()}
 	if st.Terminal() {
 		r.Outcome = j.Outcome()
@@ -145,30 +112,10 @@ func (s *walStore) transition(j *Job, st State) {
 	s.append(r, st.Terminal())
 }
 
-// walQueue is the persistent WorkQueue: a memQueue plus a write-ahead
-// queued record, so replay can tell admitted-and-enqueued jobs apart
-// from half-admissions that never reached the queue.
-type walQueue struct {
-	mem *memQueue
-	st  *walStore
-}
-
-// Enqueue implements WorkQueue. The queued record lands before the
-// channel hand-off (write-ahead): if the hand-off fails the caller's
-// rollback evict record supersedes it, and if the server crashes
-// between the two the job is resurrected — the client was promised
-// nothing either way.
-func (q *walQueue) Enqueue(j *Job) bool {
-	q.st.append(walRec{T: recState, ID: j.ID, State: StateQueued, At: time.Now().UnixNano()}, false)
-	return q.mem.Enqueue(j)
-}
-
-func (q *walQueue) Take() (*Job, bool) { return q.mem.Take() }
-func (q *walQueue) Close()             { q.mem.Close() }
-
 // jobHistory is one job's state folded out of the replayed log.
 type jobHistory struct {
 	id      string
+	seq     int64 // numeric part of id
 	spec    json.RawMessage
 	created int64
 	started int64 // last running-state timestamp
@@ -183,18 +130,19 @@ type jobHistory struct {
 }
 
 // openPersistent opens cfg.DataDir's job fabric: replay, rebuild,
-// compact. Returned jobs in resume are non-terminal survivors the
-// server re-enqueues at Start (their ctx is bound there).
-func openPersistent(cfg Config) (*walStore, *walQueue, []*Job, error) {
+// compact. It returns the store, logging to the reopened WAL, and the
+// non-terminal survivors the server re-enqueues at Start (their ctx is
+// bound there).
+func openPersistent(cfg Config) (*store, []*Job, error) {
 	if err := os.MkdirAll(filepath.Join(cfg.DataDir, "trace"), 0o755); err != nil {
-		return nil, nil, nil, fmt.Errorf("server: creating data dir: %w", err)
+		return nil, nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
 	log, payloads, err := wal.Open(filepath.Join(cfg.DataDir, "jobs.wal"))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("server: opening wal: %w", err)
+		return nil, nil, fmt.Errorf("server: opening wal: %w", err)
 	}
-	st := &walStore{mem: newMemStore(cfg.MaxJobs), log: log, logf: cfg.Logf, ckptHook: cfg.ckptHook}
-	q := &walQueue{mem: newMemQueue(cfg.QueueDepth), st: st}
+	st := newStore(cfg.MaxJobs)
+	st.log, st.logf, st.ckptHook = log, cfg.Logf, cfg.ckptHook
 
 	hists, order, maxSeq := foldLog(payloads, st.warnf)
 	var (
@@ -211,26 +159,29 @@ func openPersistent(cfg Config) (*walStore, *walQueue, []*Job, error) {
 			st.warnf("statsatd: dropping job %s on recovery: %v", id, err)
 			continue
 		}
-		if err := st.mem.adopt(j); err != nil {
+		if err := st.adopt(j); err != nil {
 			st.warnf("statsatd: dropping job %s on recovery: %v", id, err)
 			continue
 		}
 		if !h.state.Terminal() {
-			st.Bind(j)
+			st.bind(j)
 			resume = append(resume, j)
 		}
 		compact = append(compact, h.encode(st.warnf)...)
 	}
-	st.mem.bumpSeq(maxSeq)
+	st.bumpSeq(maxSeq)
 	if err := log.Rewrite(compact); err != nil {
 		log.Close()
-		return nil, nil, nil, fmt.Errorf("server: compacting wal: %w", err)
+		return nil, nil, fmt.Errorf("server: compacting wal: %w", err)
 	}
-	return st, q, resume, nil
+	return st, resume, nil
 }
 
-// foldLog reduces the replayed payloads to per-job histories, keeping
-// admission order and the highest job sequence number ever issued.
+// foldLog reduces the replayed payloads to per-job histories, in ID
+// order, plus the highest job sequence number ever issued. IDs are
+// issued in registration order, so ID order is the previous life's
+// listing order; the log's own order is not, because concurrent
+// admissions append their job records in either order.
 func foldLog(payloads [][]byte, warnf func(string, ...interface{})) (map[string]*jobHistory, []string, int64) {
 	hists := map[string]*jobHistory{}
 	var order []string
@@ -242,10 +193,11 @@ func foldLog(payloads [][]byte, warnf func(string, ...interface{})) (map[string]
 			continue
 		}
 		if r.T == recJob {
-			if n, ok := idSeq(r.ID); ok && n > maxSeq {
+			n, _ := idSeq(r.ID)
+			if n > maxSeq {
 				maxSeq = n
 			}
-			hists[r.ID] = &jobHistory{id: r.ID, spec: r.Spec, created: r.At}
+			hists[r.ID] = &jobHistory{id: r.ID, seq: n, spec: r.Spec, created: r.At}
 			order = append(order, r.ID)
 			continue
 		}
@@ -281,6 +233,7 @@ func foldLog(payloads [][]byte, warnf func(string, ...interface{})) (map[string]
 			h.evicted = true
 		}
 	}
+	sort.SliceStable(order, func(a, b int) bool { return hists[order[a]].seq < hists[order[b]].seq })
 	return hists, order, maxSeq
 }
 
@@ -360,11 +313,3 @@ func (h *jobHistory) encode(warnf func(string, ...interface{})) [][]byte {
 	}
 	return out
 }
-
-// Interface conformance (compile-time).
-var (
-	_ JobStore  = (*memStore)(nil)
-	_ JobStore  = (*walStore)(nil)
-	_ WorkQueue = (*memQueue)(nil)
-	_ WorkQueue = (*walQueue)(nil)
-)

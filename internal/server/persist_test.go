@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,7 +160,7 @@ func TestRestartDeterminism(t *testing.T) {
 			// job (listed non-terminal, re-enqueued, tape replayed) and
 			// reach the exact same outcome.
 			srv2, _ := persistServer(t, dirB, Config{Workers: 1, MaxJobs: 8})
-			resumed, ok := srv2.store.Get(id)
+			resumed, ok := srv2.store.get(id)
 			if !ok {
 				t.Fatalf("job %s not recovered from the crash image", id)
 			}
@@ -225,8 +226,8 @@ func TestRecoveryListsTerminalJobs(t *testing.T) {
 	if !bytes.Equal(wb, gb) {
 		t.Fatalf("recovered outcome changed:\nbefore: %s\nafter:  %s", wb, gb)
 	}
-	if srv2.store.Len() != 1 {
-		t.Fatalf("recovered store len = %d", srv2.store.Len())
+	if len(srv2.store.list()) != 1 {
+		t.Fatalf("recovered store len = %d", len(srv2.store.list()))
 	}
 
 	// Health census over the recovered fabric.
@@ -301,8 +302,8 @@ func TestTornWALTailRecovers(t *testing.T) {
 	f.Close()
 
 	srv2, hts2 := persistServer(t, dir, Config{Workers: 1, MaxJobs: 4})
-	if srv2.store.Len() != 1 {
-		t.Fatalf("store len after torn-tail recovery = %d", srv2.store.Len())
+	if len(srv2.store.list()) != 1 {
+		t.Fatalf("store len after torn-tail recovery = %d", len(srv2.store.list()))
 	}
 	st := getStatus(t, hts2.URL, id)
 	if st.State != StateDone || st.Outcome == nil {
@@ -346,5 +347,103 @@ func TestRebuildIgnoresRetiredRacingOptions(t *testing.T) {
 	}
 	if got.State() != want.State() {
 		t.Errorf("rebuilt state = %s, want %s", got.State(), want.State())
+	}
+}
+
+// TestFoldLogOrdersJobsByID feeds foldLog the job records of two
+// concurrent admissions in the order opposite to their IDs: recovery
+// must list them in ID order, the order the previous life listed them.
+func TestFoldLogOrdersJobsByID(t *testing.T) {
+	var payloads [][]byte
+	for _, r := range []walRec{
+		{T: recJob, ID: "j000002", At: 2},
+		{T: recJob, ID: "j000001", At: 1},
+		{T: recState, ID: "j000002", State: StateQueued},
+		{T: recState, ID: "j000001", State: StateQueued},
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
+	hists, order, maxSeq := foldLog(payloads, t.Logf)
+	if want := []string{"j000001", "j000002"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("recovered order = %v, want %v", order, want)
+	}
+	if maxSeq != 2 {
+		t.Errorf("max sequence = %d, want 2", maxSeq)
+	}
+	for _, id := range order {
+		if h := hists[id]; !h.queued || h.evicted {
+			t.Errorf("history %s = %+v, want queued and not evicted", id, h)
+		}
+	}
+}
+
+// TestRestartKeepsListOrder takes 16 jobs from 4 concurrent clients on
+// a persistent server, drains it, restarts on the same directory and
+// requires the same IDs in the same order from GET /v1/jobs.
+func TestRestartKeepsListOrder(t *testing.T) {
+	list := func(base string) []string {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Jobs []Status `json:"jobs"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(body.Jobs))
+		for i, st := range body.Jobs {
+			ids[i] = st.ID
+		}
+		return ids
+	}
+
+	dir := t.TempDir()
+	srv, hts := persistServer(t, dir, Config{Workers: 2, MaxJobs: 32})
+	attacks := []string{"sat", "psat", "appsat", "statsat"}
+	ids := make([]string, 16)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := c; k < len(ids); k += 4 {
+				id, err := trySubmit(hts.URL, quickSpec(attacks[k%4]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[k] = id
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for _, id := range ids {
+		waitTerminal(t, srv, id)
+	}
+	before := list(hts.URL)
+	if len(before) != len(ids) {
+		t.Fatalf("listed %d jobs, want %d", len(before), len(ids))
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer scancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	hts.Close()
+
+	_, hts2 := persistServer(t, dir, Config{Workers: 2, MaxJobs: 32})
+	if after := list(hts2.URL); !reflect.DeepEqual(after, before) {
+		t.Fatalf("listed after restart:\n%v\nbefore:\n%v", after, before)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"statsat"
+	"statsat/internal/engine"
 )
 
 // execute runs an admitted job to a terminal state. ctx is the job's
@@ -88,7 +89,7 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 		}
 		for _, k := range res.Keys {
 			out.Keys = append(out.Keys, KeyReport{
-				Key: bitString(k.Key), FM: k.FM, HD: k.HD,
+				Key: engine.BitString(k.Key), FM: k.FM, HD: k.HD,
 				Correct:    j.keyCorrect(k.Key),
 				Iterations: k.Iterations, Instance: k.Instance,
 			})
@@ -137,7 +138,7 @@ func (j *Job) baselineOutcome(res *statsat.BaselineResult) *Outcome {
 	}
 	if res.Key != nil {
 		out.Keys = []KeyReport{{
-			Key: bitString(res.Key), Correct: j.keyCorrect(res.Key),
+			Key: engine.BitString(res.Key), Correct: j.keyCorrect(res.Key),
 			Iterations: res.Iterations,
 		}}
 	}
@@ -164,17 +165,4 @@ func (j *Job) keyCorrect(key []bool) bool {
 	}
 	eq, err := statsat.KeysEquivalent(j.mat.locked, key, j.mat.key)
 	return err == nil && eq
-}
-
-// bitString renders a key as the wire-format 0/1 string.
-func bitString(key []bool) string {
-	b := make([]byte, len(key))
-	for i, v := range key {
-		if v {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }

@@ -75,14 +75,17 @@ func (c *Config) setDefaults() {
 // http.Handler.
 type Server struct {
 	cfg   Config
-	store JobStore
+	store *store
 	mux   *http.ServeMux
 
 	// queue is the pull queue: workers take the next admitted job
 	// whenever they free up, the same shape as the experiment
 	// scheduler's shared-queue pool (internal/exp).
-	queue WorkQueue
-	wg    sync.WaitGroup
+	queue *queue
+	// wg counts the workers, the trace spills and every admission that
+	// passed the accepting check, so Shutdown closes the log only after
+	// all of them have written their records.
+	wg sync.WaitGroup
 
 	// spillDir is the durable trace spill directory ("" without
 	// persistence); resume holds recovered non-terminal jobs awaiting
@@ -104,16 +107,15 @@ type Server struct {
 // runs, and the log is compacted to the surviving jobs.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, queue: newQueue(cfg.QueueDepth)}
 	if cfg.DataDir == "" {
-		s.store = newMemStore(cfg.MaxJobs)
-		s.queue = newMemQueue(cfg.QueueDepth)
+		s.store = newStore(cfg.MaxJobs)
 	} else {
-		store, queue, resume, err := openPersistent(cfg)
+		st, resume, err := openPersistent(cfg)
 		if err != nil {
 			return nil, err
 		}
-		s.store, s.queue, s.resume = store, queue, resume
+		s.store, s.resume = st, resume
 		s.spillDir = filepath.Join(cfg.DataDir, "trace")
 	}
 	mux := http.NewServeMux()
@@ -149,10 +151,11 @@ func (s *Server) Start(ctx context.Context) {
 	for _, j := range resume {
 		j.ctx, j.cancel = context.WithCancelCause(s.base)
 	}
+	s.wg.Add(1) // the re-admissions below, like handleSubmit's
 	s.mu.Unlock()
 
 	for _, j := range resume {
-		if s.queue.Enqueue(j) {
+		if s.enqueue(j) == nil {
 			s.logf("statsatd: job %s recovered (%s on %s, %d taped interactions)",
 				j.ID, j.mat.attack, j.mat.circuit.Name, len(j.tape))
 		} else {
@@ -160,6 +163,7 @@ func (s *Server) Start(ctx context.Context) {
 			j.cancel(nil)
 		}
 	}
+	s.wg.Done()
 	s.logf("statsatd: %d workers, %d job capacity", s.cfg.Workers, s.cfg.MaxJobs)
 }
 
@@ -168,7 +172,7 @@ func (s *Server) Start(ctx context.Context) {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.queue.Take()
+		j, ok := s.queue.take()
 		if !ok {
 			return
 		}
@@ -184,19 +188,20 @@ func (s *Server) worker() {
 // every queued or running job is cancelled with a shutdown cause
 // (running attacks stop at the engine's next interrupt check, flush
 // the `interrupted` trace event and keep their best-effort partial
-// outcome), and the worker pool exits. Once the pool is idle the job
-// store is closed (flushing the WAL on the persistent path). Blocks
-// until the pool is idle or ctx expires. Safe to call more than once.
+// outcome), and the worker pool exits. Once the pool is idle and every
+// admission in flight has settled, the job store is closed (flushing
+// the WAL on the persistent path). Blocks until then or until ctx
+// expires. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
 		s.mu.Unlock()
-		return s.store.Close()
+		return s.store.close()
 	}
 	first := !s.closed
 	if first {
 		s.closed = true
-		s.queue.Close()
+		s.queue.close()
 	}
 	cancel := s.baseCancel
 	s.mu.Unlock()
@@ -206,7 +211,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		cancel(errShutdown)
 		// Settle jobs still waiting in the queue so their streams close
 		// and Done waiters release even before a worker pops them.
-		for _, j := range s.store.List() {
+		for _, j := range s.store.list() {
 			if j.State() == StateQueued {
 				j.Cancel(errShutdown)
 			}
@@ -221,7 +226,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-idle:
 		if first {
-			if err := s.store.Close(); err != nil {
+			if err := s.store.close(); err != nil {
 				s.logf("statsatd: closing job store: %v", err)
 			}
 		}
@@ -276,40 +281,65 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j := newJob(&sp, mat, s.cfg.TraceBuffer)
 
+	// Server.mu covers only the accepting check and the job's context.
+	// The store and the queue hand-off may wait on the WAL writer, so
+	// they run outside it, counted in s.wg.
 	s.mu.Lock()
 	if !s.started || s.closed {
 		s.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, errShutdown)
 		return
 	}
+	s.wg.Add(1)
 	j.ctx, j.cancel = context.WithCancelCause(s.base)
-	evicted, err := s.store.Add(j)
-	if err != nil {
-		s.mu.Unlock()
-		j.cancel(nil)
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	s.store.Bind(j)
-	if !s.queue.Enqueue(j) {
-		s.store.Remove(j.ID)
-		s.mu.Unlock()
-		j.cancel(nil)
-		httpError(w, http.StatusTooManyRequests, errors.New("server: job queue full"))
-		return
-	}
 	s.mu.Unlock()
-
-	for _, e := range evicted {
-		s.removeSpill(e.ID)
+	code, err := s.admit(j)
+	s.wg.Done()
+	if err != nil {
+		j.cancel(nil)
+		httpError(w, code, err)
+		return
 	}
 	s.logf("statsatd: job %s admitted (%s on %s)", j.ID, mat.attack, mat.circuit.Name)
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, submitReply{ID: j.ID, State: j.State()})
 }
 
+// admit registers j and hands it to the worker pool, rolling the
+// registration back if the hand-off fails. A refusal comes with its
+// status code: 429 for a full store or queue, 503 when Shutdown closed
+// the queue after the accepting check.
+func (s *Server) admit(j *Job) (int, error) {
+	evicted, err := s.store.add(j)
+	if err != nil {
+		return http.StatusTooManyRequests, err
+	}
+	for _, e := range evicted {
+		s.removeSpill(e.ID)
+	}
+	if err := s.enqueue(j); err != nil {
+		s.store.remove(j.ID)
+		if errors.Is(err, errShutdown) {
+			return http.StatusServiceUnavailable, err
+		}
+		return http.StatusTooManyRequests, err
+	}
+	return http.StatusAccepted, nil
+}
+
+// enqueue hands j to the worker pool, write-ahead on the persistent
+// path: the queued record, which tells replay the job got past a
+// half-admission, lands before the hand-off. If the hand-off fails,
+// the caller's next record supersedes it (admission's evict rollback,
+// recovery's failed state); if the server crashes between the two, the
+// job is resurrected, and its client was promised nothing either way.
+func (s *Server) enqueue(j *Job) error {
+	s.store.transition(j, StateQueued)
+	return s.queue.put(j)
+}
+
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.store.List()
+	jobs := s.store.list()
 	out := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.Status())
@@ -318,7 +348,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
@@ -334,7 +364,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // from a previous server life — whose in-memory ring is empty — the
 // durable spill file is served instead.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
@@ -385,7 +415,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // before the request's own context ends, the in-flight status is
 // returned instead.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.Get(r.PathValue("id"))
+	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 		return
@@ -405,7 +435,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		StateQueued: 0, StateRunning: 0, StateDone: 0,
 		StateCancelled: 0, StateFailed: 0,
 	}
-	jobs := s.store.List()
+	jobs := s.store.list()
 	for _, j := range jobs {
 		states[j.State()]++
 	}
@@ -415,7 +445,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"jobs":        len(jobs),
 		"states":      states,
 		"workers":     s.cfg.Workers,
-		"persistence": s.store.Persistent(),
+		"persistence": s.store.log != nil,
 	})
 }
 

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -44,27 +46,36 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // submit POSTs a spec and returns the assigned job ID.
 func submit(t *testing.T, base string, sp Spec) string {
 	t.Helper()
-	body, err := json.Marshal(sp)
+	id, err := trySubmit(base, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return id
+}
+
+// trySubmit is submit for goroutines other than the test's own.
+func trySubmit(base string, sp Spec) (string, error) {
+	body, err := json.Marshal(sp)
+	if err != nil {
+		return "", err
+	}
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit: %s: %s", resp.Status, b)
+		return "", fmt.Errorf("submit: %s: %s", resp.Status, b)
 	}
 	var reply submitReply
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	if reply.ID == "" {
-		t.Fatal("submit: empty job ID")
+		return "", errors.New("submit: empty job ID")
 	}
-	return reply.ID
+	return reply.ID, nil
 }
 
 // getStatus GETs and decodes a job status.
@@ -89,7 +100,7 @@ func getStatus(t *testing.T, base, id string) Status {
 // tests don't sleep-loop over HTTP).
 func waitTerminal(t *testing.T, srv *Server, id string) *Job {
 	t.Helper()
-	j, ok := srv.store.Get(id)
+	j, ok := srv.store.get(id)
 	if !ok {
 		t.Fatalf("job %s not in store", id)
 	}
@@ -283,7 +294,7 @@ func TestShutdownInterruptsRunningJobs(t *testing.T) {
 		}
 		running := false
 		for _, id := range ids {
-			if j, ok := srv.store.Get(id); ok && j.State() == StateRunning {
+			if j, ok := srv.store.get(id); ok && j.State() == StateRunning {
 				running = true
 			}
 		}
@@ -299,7 +310,7 @@ func TestShutdownInterruptsRunningJobs(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	for _, id := range ids {
-		j, _ := srv.store.Get(id)
+		j, _ := srv.store.get(id)
 		if st := j.State(); st != StateCancelled {
 			t.Errorf("job %s after shutdown = %s, want cancelled", id, st)
 		}
@@ -512,7 +523,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.Outcome != nil {
 		t.Errorf("queued job has an outcome: %+v", st.Outcome)
 	}
-	j, _ := srv.store.Get(queued)
+	j, _ := srv.store.get(queued)
 	if !errors.Is(j.Err(), statsat.ErrInterrupted) {
 		// A queued cancellation never entered the engine; its error is
 		// the raw cause, which need not match ErrInterrupted. Verify it
@@ -623,4 +634,94 @@ func TestTraceStreamReplaysForLateSubscriber(t *testing.T) {
 				st.TraceBuffered, st.TraceDropped, bound, last.Seq-bound)
 		}
 	})
+}
+
+// TestSubmitRacingShutdown races one submission against Shutdown, 300
+// rounds on the in-memory fabric and 300 on the durable one. Admission
+// runs outside Server.mu, so Shutdown can land between its accepting
+// check and its queue hand-off. The client must still get 202 or 503;
+// once Shutdown returns, every retained job is terminal and a refused
+// one is gone; and a server reopened on the data directory lists the
+// accepted job as settled, has nothing to resume, and never brings
+// back a refused one.
+func TestSubmitRacingShutdown(t *testing.T) {
+	body, err := json.Marshal(quickSpec("sat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(19))
+	round := func(t *testing.T, dir string) int {
+		t.Helper()
+		cfg := Config{Workers: 1, MaxJobs: 4, DataDir: dir}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start(context.Background())
+		delay := time.Duration(rng.Int63n(int64(500 * time.Microsecond)))
+		rec := httptest.NewRecorder()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		}()
+		time.Sleep(delay)
+		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer scancel()
+		if err := srv.Shutdown(sctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range srv.store.list() {
+			if !j.State().Terminal() {
+				t.Fatalf("job %s is %s after Shutdown returned", j.ID, j.State())
+			}
+		}
+		wg.Wait()
+		want := 0
+		switch rec.Code {
+		case http.StatusAccepted:
+			want = 1
+		case http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("submission racing Shutdown got %d: %s", rec.Code, rec.Body)
+		}
+		if n := len(srv.store.list()); n != want {
+			t.Fatalf("HTTP %d left %d jobs in the store", rec.Code, n)
+		}
+		if dir == "" {
+			return rec.Code
+		}
+		reopened, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Shutdown(sctx)
+		if len(reopened.resume) != 0 {
+			t.Fatalf("HTTP %d: reopened server resumes %d job(s)", rec.Code, len(reopened.resume))
+		}
+		if n := len(reopened.store.list()); n != want {
+			t.Fatalf("HTTP %d: reopened server lists %d jobs", rec.Code, n)
+		}
+		return rec.Code
+	}
+	for _, persistent := range []bool{false, true} {
+		name := "memory"
+		if persistent {
+			name = "wal"
+		}
+		t.Run(name, func(t *testing.T) {
+			accepted := 0
+			for i := 0; i < 300; i++ {
+				dir := ""
+				if persistent {
+					dir = t.TempDir()
+				}
+				if round(t, dir) == http.StatusAccepted {
+					accepted++
+				}
+			}
+			t.Logf("%d of 300 submissions accepted", accepted)
+		})
+	}
 }

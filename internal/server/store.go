@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"statsat"
+	"statsat/internal/wal"
 )
 
 // ErrStoreFull is returned when a new job cannot be admitted because
@@ -13,89 +16,80 @@ import (
 // running (terminal jobs are evicted oldest-first to make room).
 var ErrStoreFull = errors.New("server: job store full")
 
-// JobStore is the job registry abstraction every lifecycle transition
-// routes through. The in-memory implementation (memStore) is the
-// default; walStore (persist.go) layers a write-ahead log underneath
-// so jobs, specs, state transitions and checkpoints survive a restart.
-type JobStore interface {
-	// Add assigns j its ID and registers it, evicting the oldest
-	// terminal jobs if the store is full; the evicted jobs are
-	// returned so the caller can release their side state. Fails with
-	// ErrStoreFull when nothing is evictable.
-	Add(j *Job) ([]*Job, error)
-	// Remove unregisters a job (used to roll back an admission whose
-	// queue hand-off failed).
-	Remove(id string)
-	// Get looks a job up by ID.
-	Get(id string) (*Job, bool)
-	// List returns the retained jobs in insertion order.
-	List() []*Job
-	// Len reports the number of retained jobs.
-	Len() int
-	// Bind attaches the store's durability hooks to an admitted job:
-	// the lifecycle-transition log, the oracle tape sink and the
-	// checkpoint sink. The in-memory store has none.
-	Bind(j *Job)
-	// Persistent reports whether the store survives a restart.
-	Persistent() bool
-	// Close releases store resources (flushes and closes the WAL for
-	// persistent stores). The server calls it once, after the worker
-	// pool drains.
-	Close() error
-}
+// errQueueFull refuses an admission whose hand-off finds the work
+// queue at its bound.
+var errQueueFull = errors.New("server: job queue full")
 
-// WorkQueue is the pull queue between admission and the worker pool.
-// Enqueue never blocks (admission returns 429 on a full queue); Take
-// blocks until a job is available or the queue closes.
-type WorkQueue interface {
-	// Enqueue admits j for execution; false when the queue is full or
-	// closed.
-	Enqueue(j *Job) bool
-	// Take blocks for the next job; ok=false when the queue is closed
-	// and drained.
-	Take() (j *Job, ok bool)
-	// Close ends intake; Take drains the backlog then reports false.
-	Close()
-}
-
-// memStore is the in-memory job registry: bounded, insertion-ordered,
-// eviction-safe. Eviction only ever removes terminal jobs — a queued
-// or running job is never dropped, so the bound degrades history
-// retention, not correctness.
-type memStore struct {
+// store is the job registry every lifecycle transition routes through:
+// bounded, insertion-ordered, eviction-safe. Eviction only ever removes
+// terminal jobs — a queued or running job is never dropped, so the
+// bound degrades history retention, not correctness.
+//
+// log is the write-ahead log under -data (persist.go) and nil
+// otherwise. Every method that records something checks it first, so
+// the in-memory store builds no record and reads no clock. Log appends
+// wait on the WAL writer and never run under mu.
+type store struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
-	order []*Job // insertion order (oldest first)
+	order []*Job // insertion order (oldest first), which is ID order
 	cap   int
 	seq   int64
+
+	log      *wal.Log
+	logf     func(format string, args ...interface{})
+	ckptHook func(jobID string, n int) // tests only (Config.ckptHook)
 }
 
-func newMemStore(capacity int) *memStore {
-	return &memStore{jobs: make(map[string]*Job, capacity), cap: capacity}
+func newStore(capacity int) *store {
+	return &store{jobs: make(map[string]*Job, capacity), cap: capacity}
 }
 
-// Add implements JobStore.
-func (s *memStore) Add(j *Job) ([]*Job, error) {
+// add assigns j its ID, binds its durability sinks and registers it,
+// evicting the oldest terminal jobs if the store is full; the evicted
+// jobs are returned so the caller can release their side state. Fails
+// with ErrStoreFull when nothing is evictable. With a log, the
+// admission and the evictions are logged after registration.
+func (s *store) add(j *Job) ([]*Job, error) {
+	var spec []byte
+	if s.log != nil {
+		var err error
+		if spec, err = json.Marshal(j.Spec); err != nil {
+			// A job whose spec cannot be logged must not run believing
+			// it is durable.
+			return nil, fmt.Errorf("server: encoding spec for wal: %w", err)
+		}
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	var evicted []*Job
 	for len(s.order) >= s.cap {
 		e := s.evictLocked()
 		if e == nil {
+			s.mu.Unlock()
 			return nil, ErrStoreFull
 		}
 		evicted = append(evicted, e)
 	}
 	s.seq++
 	j.ID = fmt.Sprintf("j%06d", s.seq)
+	// Bind before publishing: once j is listed, Shutdown may cancel it,
+	// and the cancellation reads j.sinks.
+	s.bind(j)
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j)
+	s.mu.Unlock()
+	if s.log != nil {
+		s.append(walRec{T: recJob, ID: j.ID, At: time.Now().UnixNano(), Spec: spec}, false)
+		for _, e := range evicted {
+			s.append(walRec{T: recEvict, ID: e.ID}, false)
+		}
+	}
 	return evicted, nil
 }
 
 // adopt registers a recovered job under its existing ID (WAL replay
 // path), bumping seq so fresh admissions never collide with history.
-func (s *memStore) adopt(j *Job) error {
+func (s *store) adopt(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.order) >= s.cap && s.evictLocked() == nil {
@@ -111,7 +105,7 @@ func (s *memStore) adopt(j *Job) error {
 
 // bumpSeq raises the ID sequence floor (WAL recovery: evicted history
 // must not have its IDs reissued while spill files may linger).
-func (s *memStore) bumpSeq(n int64) {
+func (s *store) bumpSeq(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n > s.seq {
@@ -130,7 +124,7 @@ func idSeq(id string) (int64, bool) {
 
 // evictLocked drops and returns the oldest terminal job; nil when
 // every job is still live.
-func (s *memStore) evictLocked() *Job {
+func (s *store) evictLocked() *Job {
 	for i, j := range s.order {
 		if j.State().Terminal() {
 			delete(s.jobs, j.ID)
@@ -141,90 +135,91 @@ func (s *memStore) evictLocked() *Job {
 	return nil
 }
 
-// Remove implements JobStore.
-func (s *memStore) Remove(id string) {
+// remove unregisters a job: the rollback of an admission whose queue
+// hand-off failed. With a log, the evict record supersedes the job's
+// admission on replay.
+func (s *store) remove(id string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
-	}
-	delete(s.jobs, id)
-	for i, o := range s.order {
-		if o == j {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+	if j, ok := s.jobs[id]; ok {
+		delete(s.jobs, id)
+		for i, o := range s.order {
+			if o == j {
+				s.order = append(s.order[:i], s.order[i+1:]...)
+				break
+			}
 		}
+	}
+	s.mu.Unlock()
+	if s.log != nil {
+		s.append(walRec{T: recEvict, ID: id}, false)
 	}
 }
 
-// Get implements JobStore.
-func (s *memStore) Get(id string) (*Job, bool) {
+// get looks a job up by ID.
+func (s *store) get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	return j, ok
 }
 
-// List implements JobStore.
-func (s *memStore) List() []*Job {
+// list returns the retained jobs in insertion order.
+func (s *store) list() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Job(nil), s.order...)
 }
 
-// Len implements JobStore.
-func (s *memStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
+// close flushes and closes the log, if any. The server calls it once,
+// after the worker pool and every admission in flight have finished.
+func (s *store) close() error {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Close()
 }
 
-// Bind implements JobStore: the in-memory store records nothing.
-func (s *memStore) Bind(j *Job) {}
-
-// Persistent implements JobStore.
-func (s *memStore) Persistent() bool { return false }
-
-// Close implements JobStore.
-func (s *memStore) Close() error { return nil }
-
-// memQueue is the in-memory pull queue: a bounded channel guarded by a
-// closed flag so a late Enqueue racing Shutdown reports false instead
-// of panicking on a closed channel.
-type memQueue struct {
+// queue is the pull queue between admission and the worker pool: a
+// bounded channel guarded by a closed flag, so a late put racing
+// Shutdown is refused instead of panicking on a closed channel. put
+// never blocks (admission answers 429 on a full queue); take blocks
+// until a job is available or the queue closes.
+type queue struct {
 	mu     sync.Mutex
 	ch     chan *Job
 	closed bool
 }
 
-func newMemQueue(depth int) *memQueue {
-	return &memQueue{ch: make(chan *Job, depth)}
+func newQueue(depth int) *queue {
+	return &queue{ch: make(chan *Job, depth)}
 }
 
-// Enqueue implements WorkQueue.
-func (q *memQueue) Enqueue(j *Job) bool {
+// put admits j for execution. It fails with errShutdown once the queue
+// is closed and with errQueueFull at the bound.
+func (q *queue) put(j *Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return false
+		return errShutdown
 	}
 	select {
 	case q.ch <- j:
-		return true
+		return nil
 	default:
-		return false
+		return errQueueFull
 	}
 }
 
-// Take implements WorkQueue.
-func (q *memQueue) Take() (*Job, bool) {
+// take blocks for the next job; ok=false when the queue is closed and
+// drained.
+func (q *queue) take() (*Job, bool) {
 	j, ok := <-q.ch
 	return j, ok
 }
 
-// Close implements WorkQueue. Idempotent.
-func (q *memQueue) Close() {
+// close ends intake; take drains the backlog, then reports false.
+// Idempotent.
+func (q *queue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -234,7 +229,7 @@ func (q *memQueue) Close() {
 	close(q.ch)
 }
 
-// sinks bundles the durability hooks a JobStore binds onto a job; the
+// sinks bundles the durability hooks the store binds onto a job; the
 // zero value (in-memory path) disables them all.
 type sinks struct {
 	// transition logs a lifecycle transition after the job's own state

@@ -2,7 +2,10 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"testing"
+
+	"statsat/internal/trace"
 )
 
 // bareJob builds a store-insertable job in the given state without the
@@ -12,97 +15,97 @@ func bareJob(state State) *Job {
 }
 
 func TestStoreAddAssignsSequentialIDs(t *testing.T) {
-	s := newMemStore(4)
+	s := newStore(4)
 	a, b := bareJob(StateQueued), bareJob(StateQueued)
-	if _, err := s.Add(a); err != nil {
+	if _, err := s.add(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(b); err != nil {
+	if _, err := s.add(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.ID != "j000001" || b.ID != "j000002" {
 		t.Fatalf("IDs = %q, %q", a.ID, b.ID)
 	}
-	if got, ok := s.Get("j000002"); !ok || got != b {
+	if got, ok := s.get("j000002"); !ok || got != b {
 		t.Fatal("get by ID failed")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.list()) != 2 {
+		t.Fatalf("len = %d", len(s.list()))
 	}
 }
 
 func TestStoreEvictsOldestTerminal(t *testing.T) {
-	s := newMemStore(2)
+	s := newStore(2)
 	oldDone := bareJob(StateDone)
 	live := bareJob(StateRunning)
-	if _, err := s.Add(oldDone); err != nil {
+	if _, err := s.add(oldDone); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(live); err != nil {
+	if _, err := s.add(live); err != nil {
 		t.Fatal(err)
 	}
 	next := bareJob(StateQueued)
-	evicted, err := s.Add(next)
+	evicted, err := s.add(next)
 	if err != nil {
 		t.Fatalf("add with evictable job: %v", err)
 	}
 	if len(evicted) != 1 || evicted[0] != oldDone {
 		t.Fatalf("evicted = %v, want the terminal job", evicted)
 	}
-	if _, ok := s.Get(oldDone.ID); ok {
+	if _, ok := s.get(oldDone.ID); ok {
 		t.Error("terminal job not evicted")
 	}
-	if _, ok := s.Get(live.ID); !ok {
+	if _, ok := s.get(live.ID); !ok {
 		t.Error("live job evicted")
 	}
-	order := s.List()
+	order := s.list()
 	if len(order) != 2 || order[0] != live || order[1] != next {
 		t.Fatalf("order after eviction = %v", order)
 	}
 }
 
 func TestStoreFullWhenAllLive(t *testing.T) {
-	s := newMemStore(2)
-	if _, err := s.Add(bareJob(StateRunning)); err != nil {
+	s := newStore(2)
+	if _, err := s.add(bareJob(StateRunning)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Add(bareJob(StateQueued)); err != nil {
+	if _, err := s.add(bareJob(StateQueued)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Add(bareJob(StateQueued))
+	_, err := s.add(bareJob(StateQueued))
 	if !errors.Is(err, ErrStoreFull) {
 		t.Fatalf("err = %v, want ErrStoreFull", err)
 	}
 }
 
 func TestStoreRemove(t *testing.T) {
-	s := newMemStore(4)
+	s := newStore(4)
 	j := bareJob(StateQueued)
-	if _, err := s.Add(j); err != nil {
+	if _, err := s.add(j); err != nil {
 		t.Fatal(err)
 	}
-	s.Remove(j.ID)
-	if _, ok := s.Get(j.ID); ok {
+	s.remove(j.ID)
+	if _, ok := s.get(j.ID); ok {
 		t.Error("job still present after remove")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("len = %d after remove", s.Len())
+	if len(s.list()) != 0 {
+		t.Fatalf("len = %d after remove", len(s.list()))
 	}
-	s.Remove("j999999") // unknown ID is a no-op
+	s.remove("j999999") // unknown ID is a no-op
 }
 
 func TestStoreAdoptPreservesIDAndSeq(t *testing.T) {
-	s := newMemStore(4)
+	s := newStore(4)
 	rec := bareJob(StateDone)
 	rec.ID = "j000007"
 	if err := s.adopt(rec); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.Get("j000007"); !ok || got != rec {
+	if got, ok := s.get("j000007"); !ok || got != rec {
 		t.Fatal("adopted job not retrievable under its recovered ID")
 	}
 	fresh := bareJob(StateQueued)
-	if _, err := s.Add(fresh); err != nil {
+	if _, err := s.add(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.ID != "j000008" {
@@ -111,22 +114,57 @@ func TestStoreAdoptPreservesIDAndSeq(t *testing.T) {
 }
 
 func TestMemQueueEnqueueAfterCloseRefused(t *testing.T) {
-	q := newMemQueue(2)
+	q := newQueue(1)
 	a := bareJob(StateQueued)
-	if !q.Enqueue(a) {
-		t.Fatal("enqueue on open queue refused")
+	if err := q.put(a); err != nil {
+		t.Fatalf("put on open queue: %v", err)
 	}
-	q.Close()
-	if q.Enqueue(bareJob(StateQueued)) {
-		t.Fatal("enqueue on closed queue accepted")
+	if err := q.put(bareJob(StateQueued)); !errors.Is(err, errQueueFull) {
+		t.Fatalf("put on full queue = %v, want errQueueFull", err)
 	}
-	// The backlog still drains after Close...
-	if j, ok := q.Take(); !ok || j != a {
-		t.Fatalf("Take after close = %v, %v", j, ok)
+	q.close()
+	if err := q.put(bareJob(StateQueued)); !errors.Is(err, errShutdown) {
+		t.Fatalf("put on closed queue = %v, want errShutdown", err)
 	}
-	// ...and then Take reports closure.
-	if _, ok := q.Take(); ok {
-		t.Fatal("Take on drained closed queue reported ok")
+	// The backlog still drains after close...
+	if j, ok := q.take(); !ok || j != a {
+		t.Fatalf("take after close = %v, %v", j, ok)
 	}
-	q.Close() // idempotent
+	// ...and then take reports closure.
+	if _, ok := q.take(); ok {
+		t.Fatal("take on drained closed queue reported ok")
+	}
+	q.close() // idempotent
+}
+
+// TestCancelQueuedJobRacingStart releases Cancel and a worker's
+// tryStart on a queued job at the same instant, 20000 times. Exactly
+// one may win: a job that started must not also be settled cancelled
+// by Cancel, which would let its running record land after the
+// cancelled one and resurrect it on restart.
+func TestCancelQueuedJobRacingStart(t *testing.T) {
+	cause := errors.New("cancelled by test")
+	for i := 0; i < 20000; i++ {
+		j := bareJob(StateQueued)
+		j.stream = trace.NewStream(1)
+		var wg sync.WaitGroup
+		gate := make(chan struct{})
+		started := false
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-gate
+			j.Cancel(cause)
+		}()
+		go func() {
+			defer wg.Done()
+			<-gate
+			started = j.tryStart()
+		}()
+		close(gate)
+		wg.Wait()
+		if st := j.State(); started == (st == StateCancelled) {
+			t.Fatalf("round %d: tryStart = %v, state %s", i, started, st)
+		}
+	}
 }
