@@ -34,19 +34,20 @@ func (c *Circuit) Levels() ([]int, int) {
 	return lv, depth
 }
 
-// OutputCone returns a bitset (indexed by gate ID) marking every gate
-// in the transitive fanout of id, including id itself.
-func (c *Circuit) OutputCone(id int) []bool {
-	fan := c.Fanouts()
-	in := make([]bool, len(c.Gates))
+// OutputCone returns the transitive fanout of id, including id
+// itself, as a word bitset indexed by gate ID: gate g is in the cone
+// when bit g&63 of word g>>6 is set. fan is c.Fanouts(), which a caller
+// taking many cones builds once.
+func (c *Circuit) OutputCone(fan [][]int, id int) []uint64 {
+	in := make([]uint64, (len(c.Gates)+63)/64)
 	stack := []int{id}
-	in[id] = true
+	in[id>>6] |= 1 << uint(id&63)
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range fan[g] {
-			if !in[s] {
-				in[s] = true
+			if w, b := s>>6, uint64(1)<<uint(s&63); in[w]&b == 0 {
+				in[w] |= b
 				stack = append(stack, s)
 			}
 		}

@@ -38,11 +38,25 @@ func DefaultBlockWords(numGates int) int {
 // BlockScratch owns the wire and flip-mask buffers of blocked noisy
 // evaluation. A zero BlockScratch is ready for use; buffers grow on
 // demand and are reused across calls, so one scratch per oracle keeps
-// the sampling hot path allocation-free at any block width. A
-// BlockScratch is not safe for concurrent use.
+// the sampling hot path allocation-free at any block width. It also
+// keeps the gap table of the last eps it drew flips at: the process
+// shares only the table of the eps last asked for, so scratches drawing
+// at different eps at once would otherwise rebuild one at nearly every
+// pass. A BlockScratch is not safe for concurrent use.
 type BlockScratch struct {
 	wires []uint64
 	masks []uint64
+
+	gapEps float64 // eps of gaps; 0 (never drawn at) until the first noisy pass
+	gaps   *gapTable
+}
+
+// gapTable returns the gap table of eps in (0, 1], remembering it.
+func (s *BlockScratch) gapTable(eps float64) *gapTable {
+	if s.gapEps != eps {
+		s.gaps, s.gapEps = gapTableFor(eps), eps
+	}
+	return s.gaps
 }
 
 func grow(buf []uint64, n int) []uint64 {
@@ -113,7 +127,7 @@ func (c *Circuit) EvalNoisyBlockInto(out []uint64, pi, key []bool, eps float64, 
 	if eps > 0 {
 		masks = grow(scratch.masks, len(p.ops)*words)
 		scratch.masks = masks
-		drawFlipMasks(masks, len(p.ops), words, eps, src)
+		drawFlipMasks(masks, len(p.ops), words, eps, src, scratch.gapTable(eps))
 	}
 
 	evalOps(p, w, masks, words)

@@ -293,14 +293,18 @@ func TestFanoutsAndCones(t *testing.T) {
 	if len(fan[g11]) != 2 {
 		t.Errorf("gate 11 fanout = %d, want 2", len(fan[g11]))
 	}
-	cone := c.OutputCone(g11)
+	cone := c.OutputCone(fan, g11)
 	g22, _ := c.GateByName("22")
 	g23, _ := c.GateByName("23")
-	if !cone[g22] || !cone[g23] {
-		t.Error("gate 11 should reach both outputs")
+	g7, _ := c.GateByName("7")
+	inCone := func(g int) bool { return cone[g>>6]&(1<<uint(g&63)) != 0 }
+	if !inCone(g11) || !inCone(g22) || !inCone(g23) {
+		t.Error("gate 11's cone should hold itself and both outputs")
+	}
+	if inCone(g7) {
+		t.Error("input 7 should not be in the fanout cone of gate 11")
 	}
 	in := c.InputCone(g22)
-	g7, _ := c.GateByName("7")
 	if in[g7] {
 		t.Error("input 7 should not be in the fanin cone of gate 22")
 	}

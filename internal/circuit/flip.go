@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // NoiseSource is the counted noise stream of a noisy chip: math/rand's
@@ -67,11 +68,11 @@ func (s *NoiseSource) Skip(n uint64) {
 // stream of the single-word reference evaluator in batch_test.go,
 // which the parity tests hold it to.
 //
-// Each draw is rand.Float64's value, float64(Int63())/2⁶³, taken from
-// the generator directly and redrawn at 0 (whose log is undefined) as
-// well as at 1 (which rand.Float64 itself redraws); the column adds
-// its draws to src's count once, at its end.
-func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSource) {
+// Each draw's gap is looked up in tab, the gap table of eps
+// (gapTableFor), and computed by computeGap where the table holds none;
+// with a nil tab every draw is computed. The column adds its draws to
+// src's count once, at its end.
+func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSource, tab *gapTable) {
 	if eps >= 1 {
 		fill(masks, ^uint64(0))
 		return
@@ -87,11 +88,14 @@ func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSourc
 		pos := int64(-1)
 		for {
 			n++
-			u := float64(rng.Int63()) / (1 << 63)
-			if u == 0 || u == 1 {
-				continue
+			x := rng.Int63()
+			g := tab.lookup(x)
+			if g < 0 {
+				if g = computeGap(x, invLog); g < 0 {
+					continue
+				}
 			}
-			pos += 1 + flipGap(u, invLog)
+			pos += 1 + g
 			if pos >= limit {
 				break
 			}
@@ -99,6 +103,130 @@ func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSourc
 		}
 		src.n += n
 	}
+}
+
+// computeGap returns the geometric gap of the draw x = Int63(), or -1
+// when x must be redrawn. The draw stands for rand.Float64's value
+// u = float64(x)/2⁶³; u = 0 (whose log is undefined) is redrawn, and
+// so is u = 1, which rand.Float64 itself redraws. Every other draw's
+// gap is flipGap(u, invLog).
+func computeGap(x int64, invLog float64) int64 {
+	u := float64(x) / (1 << 63)
+	if u == 0 || u == 1 {
+		return -1
+	}
+	return flipGap(u, invLog)
+}
+
+// A gapTable is indexed by a draw's top gapBits bits: gapBuckets
+// buckets.
+const (
+	gapBits    = 13
+	gapBuckets = 1 << gapBits
+)
+
+// gapTable maps bucket b = x>>50 of a draw x = Int63() to the gap
+// every draw of the bucket has, or to -1 when the bucket's draws do
+// not provably share one. It is built for one eps by newGapTable and
+// never written afterwards.
+//
+// The bucket rule. Bucket b holds x in [b·2⁵⁰, (b+1)·2⁵⁰). Both edges
+// are float64 values (b < 2¹³), and the int-to-float conversion rounds
+// monotonically, so float64(x) lies in [b·2⁵⁰, (b+1)·2⁵⁰]: a draw may
+// round up to the upper edge but never past it. Dividing by 2⁶³ is
+// exact, so u lies in [lo, hi] = [b·2⁻¹³, (b+1)·2⁻¹³]. With invLog < 0,
+// the exact product y(u) = log(u)·invLog falls as u rises, so
+// y(hi) ≤ y(u) ≤ y(lo). The gap of u (flipGap's, which is exactGap's)
+// truncates the computed ŷ(u) = fl(math.Log(u)·invLog). math.Log is
+// within 1 ulp of log u, at most 2⁻⁵² relative, and the product rounds
+// once, 2⁻⁵³ relative, so ŷ(u) = y(u)·(1+δ) with
+// |δ| ≤ ε = 3·2⁻⁵³ + 2⁻¹⁰⁵. That holds at the edges too, so
+//
+//	ŷ(hi)·(1−ε)/(1+ε) ≤ ŷ(u) ≤ ŷ(lo)·(1+ε)/(1−ε),
+//
+// bounds within 6.1·2⁻⁵³ (relative) of the edge values. gapMargin =
+// 2⁻⁴⁸ = 32·2⁻⁵³ widens the edge values by more than that plus the
+// widened product's own rounding, 2⁻⁵³. When both widened values
+// truncate to one integer g, every u in the bucket has gap g. Bucket 0
+// (u can be 0) and the last bucket (u can round to 1) are always -1,
+// so the table never answers a draw that computeGap redraws. A bucket
+// spans log((b+1)/b)·|invLog| > 2⁻¹³·|invLog| in y, so when
+// |invLog| ≥ 2¹³ (eps below about 1.2e-4) no bucket can hold one gap
+// and gapTableFor returns nil instead. Otherwise y < 13·ln2·2¹³ < 2¹⁷
+// outside bucket 0, so a gap fits an int32.
+type gapTable [gapBuckets]int32
+
+// lookup returns the gap t holds for the draw x = Int63(), or -1 when
+// x's bucket holds none or t is nil; computeGap(x, invLog) is then the
+// draw's gap.
+func (t *gapTable) lookup(x int64) int64 {
+	if t == nil {
+		return -1
+	}
+	return int64(t[x>>(63-gapBits)&(gapBuckets-1)])
+}
+
+// gapMargin widens each bucket's computed gap interval; see gapTable.
+const gapMargin = 0x1p-48
+
+// edgeLogs holds math.Log(b·2⁻¹³) at index b, for every bucket edge
+// b = 1…8191. It does not depend on eps, so it is evaluated once per
+// process, by the first table build, and a table costs one product
+// per edge.
+var edgeLogs = sync.OnceValue(func() *[gapBuckets]float64 {
+	var l [gapBuckets]float64
+	for b := 1; b < gapBuckets; b++ {
+		l[b] = math.Log(float64(b) * 0x1p-13)
+	}
+	return &l
+})
+
+// newGapTable builds the gap table of invLog = 1/log(1-eps). Each
+// bucket edge is the lower edge of the next bucket, so its product is
+// formed once.
+func newGapTable(invLog float64) *gapTable {
+	logs := edgeLogs()
+	t := new(gapTable)
+	t[0], t[gapBuckets-1] = -1, -1
+	yHi := logs[1] * invLog // ŷ at bucket 1's lower edge
+	for b := 1; b < gapBuckets-1; b++ {
+		yLo := yHi // ŷ at the lower edge, the larger of the two
+		yHi = logs[b+1] * invLog
+		g := int64(yHi * (1 - gapMargin))
+		if g == int64(yLo*(1+gapMargin)) {
+			t[b] = int32(g)
+		} else {
+			t[b] = -1
+		}
+	}
+	return t
+}
+
+// gapCache shares the table of the eps last asked for across every
+// noisy evaluation in the process. A table depends on eps alone and is
+// never written after it is built, so sharing one changes no draw.
+// Asking for another eps replaces it.
+var gapCache struct {
+	mu  sync.Mutex
+	eps float64
+	tab *gapTable
+}
+
+// gapTableFor returns the gap table of eps in (0, 1], building it
+// unless eps is the one last asked for. It returns nil when eps is too
+// small for any bucket to hold a single gap, and at eps = 1, where
+// every lane flips and no draw is taken.
+func gapTableFor(eps float64) *gapTable {
+	invLog := 1 / math.Log1p(-eps)
+	if eps >= 1 || -invLog*0x1p-13 >= 1 {
+		return nil
+	}
+	gapCache.mu.Lock()
+	defer gapCache.mu.Unlock()
+	if gapCache.tab == nil || gapCache.eps != eps {
+		gapCache.eps, gapCache.tab = eps, newGapTable(invLog)
+	}
+	return gapCache.tab
 }
 
 // maxFlipGap saturates the geometric gap. Any gap at or past a

@@ -554,14 +554,11 @@ type KeySolver struct {
 	scratch *Scratch // lazily created; not carried across Clone
 }
 
-// NewKeySolver builds an empty key-constraint solver for c. Like
-// NewMiter it works on the simplified netlist (interface-preserving,
-// so keys transfer verbatim); when simplification fails the original
-// circuit is used — per-DIP encoding tolerates any valid netlist.
+// NewKeySolver builds an empty key-constraint solver for c. It
+// encodes c as given; an attack passes its miter's simplified netlist
+// (Miter.C), which is interface-preserving, so keys transfer verbatim
+// to the locked circuit.
 func NewKeySolver(c *circuit.Circuit) *KeySolver {
-	if sc, err := circuit.Simplify(c); err == nil {
-		c = sc
-	}
 	s := sat.New()
 	return &KeySolver{S: s, C: c, Keys: FreshLits(s, c.NumKeys())}
 }

@@ -345,7 +345,7 @@ func TestMiterFullAttackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := NewKeySolver(c)
+	ks := NewKeySolver(m.C)
 	for iter := 0; iter < 20; iter++ {
 		if m.S.Solve() != sat.Sat {
 			// No more DIs: extract key.
@@ -641,7 +641,7 @@ func TestMiterSharedAttackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := NewKeySolver(locked)
+	ks := NewKeySolver(m.C)
 	oracle := func(x []bool) []bool { return locked.Eval(x, lk.Key, nil) }
 	for iter := 0; iter < 200; iter++ {
 		if m.S.Solve() != sat.Sat {

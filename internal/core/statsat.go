@@ -720,7 +720,7 @@ func (run *attackRun) finish(ctx context.Context, in *instance) error {
 	if run.opts.Logf != nil {
 		// Diagnostic cross-check: rebuild the key constraints from the
 		// recorded DIPs in a fresh solver and compare.
-		fresh := cnf.NewKeySolver(run.locked)
+		fresh := cnf.NewKeySolver(in.KS.C)
 		for _, d := range in.dips {
 			outs, err := fresh.AddDIPCopy(d.x)
 			if err != nil {

@@ -533,3 +533,24 @@ func BenchmarkAttackC880Scale8Eps1pc(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimateGateError runs the §V-E estimator with its default
+// options, as cmd/statsat does when -epsg is left unset, on the c880
+// stand-in at its published size against a chip at eps 1%. Its sweep
+// builds NProbe×NKeys fresh noisy simulations at every grid eps' it
+// visits; the reported eps' is where it stopped.
+func BenchmarkEstimateGateError(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bm, _ := gen.ByName("c880")
+	l, err := lock.RLL(bm.BuildScaled(1), 10, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var est float64
+	for i := 0; i < b.N; i++ {
+		orc := oracle.NewProbabilistic(l.Circuit, l.Key, 0.01, 7)
+		est = EstimateGateError(context.Background(), l.Circuit, orc, EstimateOptions{Seed: 1})
+	}
+	b.ReportMetric(est, "eps'")
+}

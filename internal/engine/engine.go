@@ -143,13 +143,14 @@ type Engine struct {
 }
 
 // NewInstance builds a fresh instance (miter + key solver) for the
-// engine's circuit.
+// engine's circuit. Both work on the one simplified netlist NewMiter
+// builds.
 func (e *Engine) NewInstance(id int) (*Instance, error) {
 	m, err := cnf.NewMiter(e.Locked)
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{ID: id, M: m, KS: cnf.NewKeySolver(e.Locked)}, nil
+	return &Instance{ID: id, M: m, KS: cnf.NewKeySolver(m.C)}, nil
 }
 
 // Step runs one iteration of the shared loop for inst: emit the

@@ -158,17 +158,18 @@ func SLL(orig *circuit.Circuit, nKeys int, rng *rand.Rand) (*Locked, error) {
 		rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
 		cand = cand[:maxPool]
 	}
-	cones := make(map[int][]bool, len(cand))
+	fan := c.Fanouts()
+	cones := make(map[int][]uint64, len(cand))
 	for _, w := range cand {
-		cones[w] = c.OutputCone(w)
+		cones[w] = c.OutputCone(fan, w)
 	}
 	interferes := func(a, b int) bool {
-		if cones[a][b] || cones[b][a] {
+		ca, cb := cones[a], cones[b]
+		if ca[b>>6]&(1<<uint(b&63)) != 0 || cb[a>>6]&(1<<uint(a&63)) != 0 {
 			return false // same path: one dominates the other
 		}
-		ca, cb := cones[a], cones[b]
-		for id := range ca {
-			if ca[id] && cb[id] {
+		for i := range ca {
+			if ca[i]&cb[i] != 0 {
 				return true // cones reconverge
 			}
 		}

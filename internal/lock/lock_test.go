@@ -1,7 +1,9 @@
 package lock
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"statsat/internal/circuit"
@@ -186,12 +188,13 @@ func TestSLLKeyGatesInterfere(t *testing.T) {
 		t.Fatalf("found %d key gates", len(kgs))
 	}
 	overlaps := 0
+	fan := c.Fanouts()
 	for i := 0; i < len(kgs); i++ {
-		ci := c.OutputCone(kgs[i])
+		ci := c.OutputCone(fan, kgs[i])
 		for j := i + 1; j < len(kgs); j++ {
-			cj := c.OutputCone(kgs[j])
-			for id := range ci {
-				if ci[id] && cj[id] {
+			cj := c.OutputCone(fan, kgs[j])
+			for w := range ci {
+				if ci[w]&cj[w] != 0 {
 					overlaps++
 					break
 				}
@@ -201,6 +204,111 @@ func TestSLLKeyGatesInterfere(t *testing.T) {
 	if overlaps == 0 {
 		t.Error("no pair of SLL key gates shares a fanout cone")
 	}
+}
+
+// TestSLLMatchesBoolConeSelection holds SLL, which keeps its cones as
+// word bitsets, to refSLL, the selection it replaced: one []bool cone
+// per candidate, each from a fresh fanout walk, scanned byte by byte.
+// On random circuits (some past the 256-candidate pool cap) and seeds,
+// both must lock the same wires with the same key.
+func TestSLLMatchesBoolConeSelection(t *testing.T) {
+	for i, sz := range []struct{ in, gates, out, keys int }{
+		{8, 60, 4, 4}, {12, 200, 10, 16}, {12, 300, 6, 6}, {16, 500, 12, 24}, {20, 900, 16, 32}, {10, 150, 3, 8},
+	} {
+		orig := gen.Random("s", sz.in, sz.gates, sz.out, int64(100+i))
+		for seed := int64(1); seed <= 4; seed++ {
+			got, err := SLL(orig, sz.keys, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refSLL(orig, sz.keys, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("circuit %d (%d gates, %d keys) seed %d: SLL locks differently from the []bool selection",
+					i, sz.gates, sz.keys, seed)
+			}
+		}
+	}
+}
+
+// refSLL is SLL with the []bool cones it used before: the reference
+// of TestSLLMatchesBoolConeSelection.
+func refSLL(orig *circuit.Circuit, nKeys int, rng *rand.Rand) (*Locked, error) {
+	c := orig.Clone()
+	c.Name = orig.Name + "-sll"
+	cand := lockableWires(c)
+	const maxPool = 256
+	if len(cand) > maxPool {
+		rng.Shuffle(len(cand), func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+		cand = cand[:maxPool]
+	}
+	cone := func(id int) []bool {
+		fan := c.Fanouts()
+		in := make([]bool, len(c.Gates))
+		stack := []int{id}
+		in[id] = true
+		for len(stack) > 0 {
+			g := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, s := range fan[g] {
+				if !in[s] {
+					in[s] = true
+					stack = append(stack, s)
+				}
+			}
+		}
+		return in
+	}
+	cones := make(map[int][]bool, len(cand))
+	for _, w := range cand {
+		cones[w] = cone(w)
+	}
+	interferes := func(a, b int) bool {
+		if cones[a][b] || cones[b][a] {
+			return false
+		}
+		ca, cb := cones[a], cones[b]
+		for id := range ca {
+			if ca[id] && cb[id] {
+				return true
+			}
+		}
+		return false
+	}
+	selected := []int{cand[rng.Intn(len(cand))]}
+	inSel := map[int]bool{selected[0]: true}
+	for len(selected) < nKeys {
+		best, bestScore := -1, -1
+		for _, w := range cand {
+			if inSel[w] {
+				continue
+			}
+			score := 0
+			for _, s := range selected {
+				if interferes(w, s) {
+					score++
+				}
+			}
+			if score > bestScore {
+				best, bestScore = w, score
+			}
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("refSLL: candidate pool exhausted at %d keys", len(selected))
+		}
+		selected = append(selected, best)
+		inSel[best] = true
+	}
+	key := make([]bool, nKeys)
+	for i, w := range selected {
+		key[i] = insertKeyGate(c, w, rng.Intn(2) == 1, fmt.Sprintf("keyinput%d", i))
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return &Locked{Circuit: c, Key: key, Technique: "SLL"}, nil
 }
 
 func TestSLLErrors(t *testing.T) {

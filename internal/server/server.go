@@ -133,10 +133,10 @@ func New(cfg Config) (*Server, error) {
 // is the base context every job's context derives from: cancelling it
 // interrupts all running jobs (each flushes an `interrupted` trace
 // event and publishes its partial result), but the pool itself drains
-// only via Shutdown.
+// only via Shutdown. Start after Shutdown does nothing.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
-	if s.started {
+	if s.started || s.closed {
 		s.mu.Unlock()
 		return
 	}
@@ -191,17 +191,22 @@ func (s *Server) worker() {
 // outcome), and the worker pool exits. Once the pool is idle and every
 // admission in flight has settled, the job store is closed (flushing
 // the WAL on the persistent path). Blocks until then or until ctx
-// expires. Safe to call more than once.
+// expires. Safe to call more than once. Called before Start, it only
+// closes the store, and the server never starts.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return s.store.close()
-	}
 	first := !s.closed
 	if first {
 		s.closed = true
 		s.queue.close()
+	}
+	if !s.started {
+		// No worker or admission ever ran; a later Start is a no-op.
+		s.mu.Unlock()
+		if first {
+			return s.store.close()
+		}
+		return nil
 	}
 	cancel := s.baseCancel
 	s.mu.Unlock()

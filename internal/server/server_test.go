@@ -725,3 +725,41 @@ func TestSubmitRacingShutdown(t *testing.T) {
 		})
 	}
 }
+
+// TestShutdownBeforeStart checks that a server shut down before it
+// started stays shut: Shutdown closed its WAL, so a later Start must
+// not serve on it. The submission gets 503, and a server reopened on
+// the data directory lists no job.
+func TestShutdownBeforeStart(t *testing.T) {
+	body, err := json.Marshal(quickSpec("sat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, MaxJobs: 4, DataDir: t.TempDir()}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer scancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(context.Background())
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submission after Shutdown and Start got %d, want 503: %s", rec.Code, rec.Body)
+	}
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("second Shutdown: %v", err)
+	}
+	reopened, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Shutdown(sctx)
+	if n := len(reopened.store.list()); n != 0 {
+		t.Fatalf("reopened server lists %d job(s), want none", n)
+	}
+}
