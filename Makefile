@@ -1,6 +1,6 @@
 # Tier-1 verification: vet, build everything, run the project linter,
 # check formatting, then run all tests with the race detector (trace
-# emission from parallel attack instances must stay race-free — see
+# emission from StatSAT's key-scoring workers must stay race-free — see
 # docs/OBSERVABILITY.md). statlint sits between vet and race so the
 # repo's determinism / buffer-aliasing / trace-gating invariants are
 # machine-checked on every verify — see docs/LINTING.md.

@@ -57,7 +57,6 @@ func run() int {
 		verbose  = flag.Bool("v", false, "log attack progress and stream trace events to stderr")
 		traceOut = flag.String("trace", "", "write a JSON-lines event trace to this file (schema: docs/OBSERVABILITY.md)")
 		maxIter  = flag.Int("maxiter", 20000, "iteration safety cap")
-		parallel = flag.Bool("parallel", false, "run SAT instances concurrently (faster, non-reproducible)")
 		srvURL   = flag.String("server", "", "submit the job to a statsatd daemon at this base URL instead of attacking locally")
 	)
 	flag.Parse()
@@ -93,7 +92,7 @@ func run() int {
 			opts: server.SpecOptions{
 				Ns: *ns, NSatis: *nSatis, NEval: *nEval, NInst: *nInst,
 				ULambda: *uLam, ELambda: *eLam, EpsG: epsGuess,
-				MaxIter: *maxIter, Parallel: *parallel,
+				MaxIter: *maxIter,
 			},
 		})
 	}
@@ -160,7 +159,7 @@ func run() int {
 		opts := core.Options{
 			Ns: *ns, NSatis: *nSatis, NEval: *nEval, NInst: *nInst,
 			ULambda: *uLam, ELambda: *eLam, EpsG: guess,
-			MaxTotalIter: *maxIter, Seed: *seed, Parallel: *parallel,
+			MaxTotalIter: *maxIter, Seed: *seed,
 			Tracer: tracer,
 		}
 		if *verbose {

@@ -59,7 +59,7 @@ func main() {
 	const eps = 0.01
 	orc := statsat.NewNoisyOracle(stolen, locked.Key, eps, 99)
 	res, err := statsat.Attack(stolen, orc, statsat.Options{
-		Ns: 512, NSatis: 12, NEval: 60, NInst: 16, EpsG: eps, Seed: 5, Parallel: true,
+		Ns: 512, NSatis: 12, NEval: 60, NInst: 16, EpsG: eps, Seed: 5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -91,21 +90,24 @@ func checkInterruptedTrace(t *testing.T, events []trace.Event) {
 	}
 }
 
-// TestAttackCancelParallel cancels a live multi-instance run; under
-// -race this exercises the interrupt path racing against concurrent
-// instance goroutines and the shared-oracle lock. The cancel fires
-// from the checkpoint sink once the first Step has completed, so the
-// run always has partial statistics to report however slow the
-// machine is.
-func TestAttackCancelParallel(t *testing.T) {
+// TestAttackCancelAfterFirstStep cancels a forked run from the
+// checkpoint sink, right after the first Step of the first forked
+// child, so the instance that sees the interrupt next holds fewer
+// iterations than the run as a whole. The returned error, the Result
+// and the trace's interrupted event must all report the run's total.
+func TestAttackCancelAfterFirstStep(t *testing.T) {
 	l := lockedC880Full(t, 12)
 	orc := oracle.NewProbabilistic(l.Circuit, l.Key, 0.02, 31)
+	rec := trace.NewRecorder()
 	opts := quickOpts(0.02, 4)
-	opts.Parallel = true
+	opts.Tracer = rec
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var once sync.Once
-	opts.Checkpoint = func(engine.Checkpoint) { once.Do(cancel) }
+	opts.Checkpoint = func(ck engine.Checkpoint) {
+		if ck.Instance > 0 {
+			cancel()
+		}
+	}
 	res, err := Attack(ctx, l.Circuit, orc, opts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -114,10 +116,10 @@ func TestAttackCancelParallel(t *testing.T) {
 		t.Errorf("err = %v, want to unwrap to context.Canceled", err)
 	}
 	if res == nil {
-		t.Fatal("interrupted parallel run returned nil result")
+		t.Fatal("interrupted run returned nil result")
 	}
-	if len(res.InstanceStats) == 0 || res.TotalIterations == 0 {
-		t.Fatalf("interrupted result carries no partial statistics: %+v", res)
+	if res.Forks == 0 || len(res.InstanceStats) < 2 {
+		t.Fatalf("run was cancelled before it forked: %+v", res.InstanceStats)
 	}
 	// Keys are best-effort: normally at least one live instance yields
 	// a candidate, but under noise every live solver can be UNSAT at
@@ -129,12 +131,12 @@ func TestAttackCancelParallel(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %T, want *engine.InterruptedError", err)
 	}
-	// In-flight instance goroutines finish their current step after
-	// the interrupt is recorded, so the final total may exceed the
-	// error's snapshot — but never trail it.
-	if res.TotalIterations < ie.Iterations {
-		t.Errorf("result iterations %d < error iterations %d",
-			res.TotalIterations, ie.Iterations)
+	events := rec.Events()
+	checkInterruptedTrace(t, events)
+	traced := events[len(events)-2].Interrupt.Iterations
+	if ie.Iterations != res.TotalIterations || traced != res.TotalIterations {
+		t.Errorf("iterations: error %d, Result.TotalIterations %d, trace %d; want all equal",
+			ie.Iterations, res.TotalIterations, traced)
 	}
 }
 

@@ -75,20 +75,14 @@ type Options struct {
 	// Seed drives all attack-side randomness (key evaluation inputs,
 	// simulated unlocked-circuit noise).
 	Seed int64
-	// Parallel runs live SAT instances on concurrent goroutines (the
-	// instances are independent by construction — §IV-D). Oracle
-	// queries stay serialised (one chip). Results remain valid but
-	// are no longer bit-reproducible across runs, because instances
-	// interleave their oracle noise draws; leave false for
-	// deterministic experiments.
-	Parallel bool
-	// Logf, if set, receives progress lines (serialised internally).
+	// Logf, if set, receives progress lines.
 	Logf func(format string, args ...interface{})
 	// Tracer, if set, receives structured trace events for every
 	// iteration, DIP, gating decision, fork, force-proceed and key —
-	// the schema is documented in docs/OBSERVABILITY.md. Emission is
-	// race-safe under Parallel. Tracing an attack changes nothing
-	// about its behaviour or results.
+	// the schema is documented in docs/OBSERVABILITY.md. The key-scoring
+	// workers emit concurrently, so a Tracer must tolerate concurrent
+	// Emit calls. Tracing an attack changes nothing about its behaviour
+	// or results.
 	Tracer trace.Tracer
 	// Checkpoint, if set, receives a progress checkpoint after every
 	// engine Step of every instance (the durable-resume boundary; see
@@ -231,9 +225,7 @@ const (
 // embedded engine.Instance carries the miter (M), key solver (KS), ID
 // and iteration counter the shared loop operates on; this wrapper adds
 // StatSAT's fork-tree state. The *Buf fields are per-instance scratch
-// for the iteration hot path; an instance is only ever driven by one
-// goroutine at a time, so they need no locking (and clones get fresh
-// ones).
+// for the iteration hot path (clones get fresh ones).
 type instance struct {
 	engine.Instance
 	parent  int // id of the instance this one forked from (-1 for root)
@@ -289,22 +281,18 @@ func (in *instance) specify(d *dip, j int, val bool) {
 	cnf.Equal(in.KS.S, d.outs[j], val)
 }
 
-// attack bundles the run state. mu guards insts, res, nextID, peakLive
-// and err whenever instances run concurrently; the sequential
-// scheduler takes the same locks (uncontended, negligible cost) so the
-// two paths share one implementation.
+// attackRun bundles the run state. One goroutine drives every
+// instance, in the round-robin order of runSequential.
 type attackRun struct {
 	locked *circuit.Circuit
 	orc    oracle.Oracle
 	opts   Options
 
-	mu       sync.Mutex
 	insts    []*instance
 	nextID   int
 	res      *Result
 	peakLive int
 	err      error
-	spawn    func(*instance) // set by the parallel scheduler
 
 	// eng drives the shared oracle-guided loop (internal/engine); its
 	// StartQ stays 0 so StatSAT events stamp the absolute shared-chip
@@ -315,28 +303,16 @@ type attackRun struct {
 	// when no Tracer is configured.
 	tr *trace.Emitter
 
-	// estPool hands out per-goroutine errprop.Estimators so the
-	// N_satis-key BER estimation of every DIP reuses its wire-value and
-	// probability scratch instead of reallocating it per key, without
-	// sharing buffers between concurrently stepping instances.
-	estPool sync.Pool
-
-	logMu sync.Mutex
-}
-
-func (run *attackRun) getEstimator() *errprop.Estimator {
-	if est, ok := run.estPool.Get().(*errprop.Estimator); ok {
-		return est
-	}
-	return errprop.NewEstimator(run.locked)
+	// est is built at the first DIP; the N_satis-key BER estimation of
+	// every later DIP reuses its wire-value and probability scratch
+	// instead of reallocating it per key.
+	est *errprop.Estimator
 }
 
 func (run *attackRun) logf(format string, args ...interface{}) {
 	if run.opts.Logf == nil {
 		return
 	}
-	run.logMu.Lock()
-	defer run.logMu.Unlock()
 	run.opts.Logf(format, args...)
 }
 
@@ -362,15 +338,12 @@ func Attack(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opt
 	}
 
 	run := &attackRun{locked: locked, orc: orc, opts: opts, res: &Result{}}
-	if opts.Parallel {
-		run.orc = wrapOracle(orc)
-	}
 	run.tr = trace.NewEmitter(opts.Tracer)
-	run.eng = &engine.Engine{Locked: locked, Orc: run.orc, Tr: run.tr, Ckpt: opts.Checkpoint}
+	run.eng = &engine.Engine{Locked: locked, Orc: orc, Tr: run.tr, Ckpt: opts.Checkpoint}
 	run.eng.EmitStart("statsat", &trace.OptionsInfo{
 		Ns: opts.Ns, NSatis: opts.NSatis, NEval: opts.NEval, EvalNs: opts.EvalNs,
 		NInst: opts.NInst, ULambda: opts.ULambda, ELambda: opts.ELambda,
-		EpsG: opts.EpsG, MaxIter: opts.MaxTotalIter, Parallel: opts.Parallel,
+		EpsG: opts.EpsG, MaxIter: opts.MaxTotalIter,
 	})
 	startQ := run.orc.Queries()
 	start := time.Now()
@@ -383,11 +356,7 @@ func Attack(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opt
 	run.res.InstancesCreated = 1
 	run.peakLive = 1
 
-	if opts.Parallel {
-		run.runParallel(ctx, root)
-	} else {
-		run.runSequential(ctx)
-	}
+	run.runSequential(ctx)
 	var interrupted *engine.InterruptedError
 	if run.err != nil && !errors.As(run.err, &interrupted) {
 		return nil, run.err
@@ -506,8 +475,11 @@ func (run *attackRun) emitAttackEnd(keys int) {
 // first; an instance whose solver has gone UNSAT under noisy
 // constraints simply yields nothing and the next one is consulted.
 // The trace closes with an interrupted marker followed by the partial
-// totals.
+// totals. The error reports the run's total iterations, as the trace
+// and the Result do, not the count of the instance that saw the
+// interrupt (which includes the iterations it inherited at its fork).
 func (run *attackRun) interruptedResult(keys []KeyReport, ie *engine.InterruptedError) (*Result, error) {
+	ie.Iterations = run.res.TotalIterations
 	if len(keys) == 0 {
 		live := make([]*instance, 0, len(run.insts))
 		for _, in := range run.insts {
@@ -534,7 +506,8 @@ func (run *attackRun) interruptedResult(keys []KeyReport, ie *engine.Interrupted
 	return run.res, run.err
 }
 
-// runSequential is the deterministic round-robin scheduler.
+// runSequential is the deterministic round-robin scheduler. It stops
+// at the first error and leaves it in run.err.
 func (run *attackRun) runSequential(ctx context.Context) {
 	for {
 		progressed := false
@@ -544,15 +517,15 @@ func (run *attackRun) runSequential(ctx context.Context) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				run.setErr(run.interrupted(in, err))
+				run.err = run.interrupted(in, err)
 				return
 			}
 			if !run.takeIteration() {
-				run.markTruncated()
+				run.res.Truncated = true
 				return
 			}
 			if err := run.step(ctx, in); err != nil {
-				run.setErr(err)
+				run.err = err
 				return
 			}
 			progressed = true
@@ -563,26 +536,14 @@ func (run *attackRun) runSequential(ctx context.Context) {
 	}
 }
 
-// interrupted wraps a context error with the observing instance's
-// progress.
+// interrupted wraps a context error with the observing instance;
+// interruptedResult stamps the run's iteration total.
 func (run *attackRun) interrupted(in *instance, err error) error {
-	return &engine.InterruptedError{Cause: err, Instance: in.ID, Iterations: in.Iterations}
-}
-
-// setErr records the first error of the run (later ones are dropped;
-// schedulers stop on the first).
-func (run *attackRun) setErr(err error) {
-	run.mu.Lock()
-	if run.err == nil {
-		run.err = err
-	}
-	run.mu.Unlock()
+	return &engine.InterruptedError{Cause: err, Instance: in.ID}
 }
 
 // takeIteration reserves one scheduler step from the global budget.
 func (run *attackRun) takeIteration() bool {
-	run.mu.Lock()
-	defer run.mu.Unlock()
 	if run.res.TotalIterations >= run.opts.MaxTotalIter {
 		return false
 	}
@@ -590,26 +551,19 @@ func (run *attackRun) takeIteration() bool {
 	return true
 }
 
-func (run *attackRun) markTruncated() {
-	run.mu.Lock()
-	run.res.Truncated = true
-	run.mu.Unlock()
-}
-
-// setState transitions an instance under the shared lock and keeps the
-// dead-instance counter and live peak consistent. Death is traced here
-// so every path that kills an instance emits exactly one event.
+// setState transitions an instance and keeps the dead-instance counter
+// consistent. Death is traced here so every path that kills an
+// instance emits exactly one event.
 func (run *attackRun) setState(in *instance, st instState) {
-	run.mu.Lock()
-	changed := in.state != st
-	if changed {
-		in.state = st
-		if st == dead {
-			run.res.DeadInstances++
-		}
+	if in.state == st {
+		return
 	}
-	run.mu.Unlock()
-	if changed && st == dead && run.tr.Enabled() {
+	in.state = st
+	if st != dead {
+		return
+	}
+	run.res.DeadInstances++
+	if run.tr.Enabled() {
 		run.tr.Emit(trace.Event{
 			Type: trace.InstanceDead, Instance: in.ID,
 			Key: &trace.KeyInfo{Iterations: in.Iterations, DIPs: len(in.dips)},
@@ -617,7 +571,7 @@ func (run *attackRun) setState(in *instance, st instState) {
 	}
 }
 
-func (run *attackRun) liveCountLocked() int {
+func (run *attackRun) liveCount() int {
 	n := 0
 	for _, in := range run.insts {
 		if in.state != dead {
@@ -628,8 +582,6 @@ func (run *attackRun) liveCountLocked() int {
 }
 
 func (run *attackRun) anyRunning() bool {
-	run.mu.Lock()
-	defer run.mu.Unlock()
 	for _, in := range run.insts {
 		if in.state == running {
 			return true
@@ -651,9 +603,7 @@ func (run *attackRun) newRootInstance() (*instance, error) {
 }
 
 // step performs one SAT iteration for the instance through the shared
-// engine loop. It is safe to call concurrently for distinct instances
-// (each emits only for itself; the emitter and sinks serialise
-// internally). Convergence and scheduling are read back from in.state,
+// engine loop. Convergence and scheduling are read back from in.state,
 // so the engine's done flag is redundant here.
 func (run *attackRun) step(ctx context.Context, in *instance) error {
 	_, err := run.eng.Step(ctx, &in.Instance, &instStrategy{run: run, in: in})
@@ -682,8 +632,7 @@ func (s *instStrategy) Respond(ctx context.Context, _ *engine.Instance, x []bool
 		return "", false, err
 	}
 	// recordNewDIP kills the instance when key enumeration comes up
-	// empty; only this goroutine transitions in.state, so the read is
-	// safe without the lock.
+	// empty.
 	if in.state == dead {
 		return "dead", true, nil
 	}
@@ -762,9 +711,10 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 		run.setState(in, dead)
 		return nil
 	}
-	est := run.getEstimator()
-	e, err := est.AverageOutputBERs(x, cand, opts.EpsG)
-	run.estPool.Put(est)
+	if run.est == nil {
+		run.est = errprop.NewEstimator(run.locked)
+	}
+	e, err := run.est.AverageOutputBERs(x, cand, opts.EpsG)
 	if err != nil {
 		return fmt.Errorf("statsat: BER estimation: %w", err)
 	}
@@ -829,9 +779,7 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 }
 
 // handleRepeat implements §IV-D: duplicate when capacity allows
-// (eq. 5), otherwise force-proceed (eq. 6). The capacity check and
-// child registration are atomic so the parallel scheduler respects
-// N_inst exactly.
+// (eq. 5), otherwise force-proceed (eq. 6).
 func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 	in.unspecBuf = d.unspecifiedInto(in.unspecBuf)
 	unspec := in.unspecBuf
@@ -841,23 +789,15 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 		run.setState(in, dead)
 		return nil
 	}
-	run.mu.Lock()
-	var child *instance
-	if run.liveCountLocked() < run.opts.NInst {
+	if run.liveCount() < run.opts.NInst {
 		run.nextID++
-		child = in.clone(run.nextID)
+		child := in.clone(run.nextID)
 		run.insts = append(run.insts, child)
 		run.res.InstancesCreated++
 		run.res.Forks++
-		if live := run.liveCountLocked(); live > run.peakLive {
+		if live := run.liveCount(); live > run.peakLive {
 			run.peakLive = live
 		}
-	} else {
-		run.res.ForceProceeds++
-	}
-	run.mu.Unlock()
-
-	if child != nil {
 		// eq. 5: pick j_dup = argmax U if that max exceeds U_lambda,
 		// else argmax E.
 		j := argmaxAt(d.u, unspec)
@@ -876,12 +816,10 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 		}
 		run.logf("statsat: instance %d forked -> %d on bit %d (U=%.3f E=%.3f)",
 			in.ID, child.ID, j, d.u[j], d.e[j])
-		if run.spawn != nil {
-			run.spawn(child)
-		}
 		return nil
 	}
 	// eq. 6: force-proceed on the least-risky unspecified bit.
+	run.res.ForceProceeds++
 	j := argminAt(d.e, unspec)
 	v := d.probs[j] >= 0.5
 	in.specify(d, j, v)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"statsat/internal/oracle"
@@ -135,63 +134,4 @@ func TestAttackTraceSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTraceInvariants(t, rec.Events(), res)
-}
-
-// TestAttackTraceParallel runs concurrent instances with a tracer
-// attached; under -race this exercises emission from multiple instance
-// goroutines plus the eval workers.
-func TestAttackTraceParallel(t *testing.T) {
-	_, l := lockedSmall(t, 2, 10)
-	const eps = 0.01
-	orc := oracle.NewProbabilistic(l.Circuit, l.Key, eps, 20)
-	rec := trace.NewRecorder()
-	opts := quickOpts(eps, 8)
-	opts.Parallel = true
-	opts.Tracer = rec
-	res, err := Attack(context.Background(), l.Circuit, orc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTraceInvariants(t, rec.Events(), res)
-}
-
-// TestLockedOracleConcurrentCounters hammers the goroutine-safe oracle
-// wrapper with concurrent queries and counter reads — the exact access
-// pattern of parallel instances emitting trace events (which read
-// Queries()) while other instances sample the chip.
-func TestLockedOracleConcurrentCounters(t *testing.T) {
-	_, l := lockedSmall(t, 5, 8)
-	inner := oracle.NewProbabilistic(l.Circuit, l.Key, 0.01, 9)
-	orc := wrapOracle(inner)
-	blq, wmax := oracle.Blocks(orc)
-	if wmax == 0 {
-		t.Fatal("wrapped probabilistic oracle lost block capability")
-	}
-	x := make([]bool, orc.NumInputs())
-	const workers, each = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if w%2 == 0 {
-					orc.Query(x)
-				} else {
-					blq.QueryBlock(x, 1)
-				}
-				if orc.Queries() <= 0 {
-					t.Error("counter went non-positive")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// 4 scalar workers × 25 single queries + 4 block workers × 25
-	// one-word (64-lane) blocks.
-	want := int64(4*each) + int64(4*each*64)
-	if got := orc.Queries(); got != want {
-		t.Errorf("Queries() = %d, want %d", got, want)
-	}
 }

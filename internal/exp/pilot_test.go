@@ -30,7 +30,6 @@ func TestPaperPilotC3540A(t *testing.T) {
 	const eps = 0.0125 // the paper's c3540 point A
 	for nInst := 1; nInst <= 4; nInst *= 2 {
 		opts := p.attackOpts(eps, nInst, p.Seed)
-		opts.Parallel = true
 		out, err := runAttack(context.Background(), p, wl, eps, opts,
 			deriveSeed(p.Seed, "pilot-oracle", nInst), fmt.Sprintf("pilot/c3540/n%d", nInst))
 		if err != nil {

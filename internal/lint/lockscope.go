@@ -17,10 +17,11 @@ import (
 // inside a deferred FuncLit, satisfies all paths at once). The
 // analysis is a branch-sensitive walk over each function body tracking
 // the held/deferred state per mutex expression; TryLock in an if
-// condition is understood in both polarities. Blocking under a lock is
-// how the serialised-oracle design deadlocks or convoys: every
-// instance goroutine funnels through lockedOracle.mu, so one blocked
-// holder stalls every instance.
+// condition is understood in both polarities. Blocking under a lock
+// convoys everything that waits for it: were statsatd's submission
+// handler to hold Server.mu across its three waits on the WAL writer
+// goroutine (registering, queueing and rolling back a job), one slow
+// disk write would stall every other submission and Shutdown behind it.
 type LockScope struct{}
 
 func (LockScope) Name() string { return "lockscope" }

@@ -93,16 +93,15 @@ func NewJournal(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) *Journal
 // replaying reports whether a tape prefix remains to be served.
 func (j *Journal) replaying() bool { return !j.diverged && j.pos < len(j.tape) }
 
-// Replaying exposes the replay state (the server's healthz/status
-// surfaces use it to show recovery progress).
-func (j *Journal) Replaying() bool { return j.replaying() }
-
-// Diverged reports that a replayed interaction did not match the tape
-// (possible only under Options.Parallel, whose scheduling is
-// documented as nondeterministic — see docs/ARCHITECTURE.md). The
-// journal then drops the rest of the tape, stops recording entirely
-// (the durable tape no longer describes this trajectory), and serves
-// the live oracle.
+// Diverged reports that a replayed interaction did not match the tape.
+// Every attack is deterministic given its oracle answers, so that
+// happens only when the tape describes another trajectory: one
+// recorded by a binary whose attacks have since changed their
+// trajectories, or a job that an older daemon ran with concurrent
+// StatSAT instances (a logged "parallel" option). The journal then
+// drops the rest of the tape, stops recording entirely (the durable
+// tape no longer describes this trajectory), and serves the live
+// oracle.
 func (j *Journal) Diverged() bool { return j.diverged }
 
 func (j *Journal) diverge() {

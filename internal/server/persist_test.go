@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"statsat/internal/trace"
+	"statsat/internal/wal"
 )
 
 // persistServer starts a Server with the durable fabric rooted at dir.
@@ -311,43 +312,147 @@ func TestTornWALTailRecovers(t *testing.T) {
 	}
 }
 
-// TestRebuildIgnoresRetiredRacingOptions replays an admission record
-// as servers that still supported solver racing logged it, with
-// "portfolio_workers" and "portfolio_racers" in the options. Submission
-// refuses those fields (TestAPIErrors), but rebuild decodes logged
-// specs leniently, so the old job still comes back — materialized
-// exactly like the same spec without them.
-func TestRebuildIgnoresRetiredRacingOptions(t *testing.T) {
-	clean, err := json.Marshal(quickSpec("sat"))
+// TestRebuildIgnoresRetiredOptions replays admission records as older
+// servers logged them, with options this server no longer has:
+// "portfolio_workers" and "portfolio_racers" (solver racing) and
+// "parallel" (concurrent StatSAT instances). Submission refuses those
+// fields (TestAPIErrors), but rebuild decodes logged specs leniently,
+// so the old job still comes back — materialized exactly like the same
+// spec without them.
+func TestRebuildIgnoresRetiredOptions(t *testing.T) {
+	for _, tc := range []struct {
+		attack, retired string
+	}{
+		{"sat", `"portfolio_workers":4,"portfolio_racers":2,`},
+		{"statsat", `"parallel":true,`},
+	} {
+		clean, err := json.Marshal(quickSpec(tc.attack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(clean, []byte(`"options":{`), []byte(`"options":{`+tc.retired), 1)
+		if bytes.Equal(old, clean) {
+			t.Fatalf("spec JSON has no options object to extend: %s", clean)
+		}
+		rebuild := func(spec []byte) *Job {
+			t.Helper()
+			h := &jobHistory{id: "j1", spec: spec}
+			j, err := h.rebuild(16)
+			if err != nil {
+				t.Fatalf("rebuild(%s): %v", spec, err)
+			}
+			return j
+		}
+		got, want := rebuild(old), rebuild(clean)
+		if !reflect.DeepEqual(got.Spec, want.Spec) {
+			t.Errorf("%s: rebuilt spec = %+v, want %+v", tc.retired, got.Spec, want.Spec)
+		}
+		if got.mat.attack != want.mat.attack || got.mat.circuit != want.mat.circuit ||
+			!reflect.DeepEqual(got.mat.key, want.mat.key) {
+			t.Errorf("%s: materialized %s %+v key %v, want %s %+v key %v", tc.retired,
+				got.mat.attack, got.mat.circuit, got.mat.key, want.mat.attack, want.mat.circuit, want.mat.key)
+		}
+		if got.State() != want.State() {
+			t.Errorf("%s: rebuilt state = %s, want %s", tc.retired, got.State(), want.State())
+		}
+	}
+}
+
+// TestResumeDivergedTape resumes a statsat job whose logged tape does
+// not match its trajectory. Such tapes come from a binary whose attacks
+// have since changed their trajectories, or from an older daemon that
+// ran the job with "parallel": true. Here the crash image's first tape
+// record has one input bit flipped, so the journal abandons the tape at
+// the first query and serves the live oracle. The job must still run
+// to done with a key, and log no tape record after the divergence.
+func TestResumeDivergedTape(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	var snapped bool
+	cfg := Config{Workers: 1, MaxJobs: 8}
+	cfg.ckptHook = func(jobID string, n int) {
+		if n == 3 && !snapped {
+			snapped = true
+			copyTree(t, dirA, dirB)
+		}
+	}
+	srv, hts := persistServer(t, dirA, cfg)
+	id := submit(t, hts.URL, resumableSpec("statsat", 0.01))
+	waitTerminal(t, srv, id)
+	if !snapped {
+		t.Fatal("job finished in under three checkpoints; no crash image taken")
+	}
+
+	walPath := filepath.Join(dirB, "jobs.wal")
+	log, payloads, tapes := openTapeRecords(t, walPath)
+	if len(tapes) == 0 {
+		t.Fatal("crash image holds no tape record")
+	}
+	var first walRec
+	if err := json.Unmarshal(payloads[tapes[0]], &first); err != nil {
+		t.Fatal(err)
+	}
+	x := []byte(first.Tape.X)
+	x[0] ^= '0' ^ '1'
+	first.Tape.X = string(x)
+	var err error
+	if payloads[tapes[0]], err = json.Marshal(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Rewrite(payloads); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := persistServer(t, dirB, Config{Workers: 1, MaxJobs: 8})
+	resumed, ok := srv2.store.get(id)
+	if !ok {
+		t.Fatalf("job %s not recovered from the crash image", id)
+	}
+	select {
+	case <-resumed.Done():
+	case <-time.After(120 * time.Second):
+		t.Fatalf("resumed job did not settle (state %s)", resumed.State())
+	}
+	if st := resumed.State(); st != StateDone {
+		t.Fatalf("resumed job settled as %s (err %v)", st, resumed.Err())
+	}
+	if out := resumed.Outcome(); out == nil || len(out.Keys) == 0 {
+		t.Fatalf("resumed job outcome = %+v, want a key", out)
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer scancel()
+	if err := srv2.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	log, _, after := openTapeRecords(t, walPath)
+	log.Close()
+	if len(after) != len(tapes) {
+		t.Errorf("log holds %d tape records after the diverged resume, want the %d recovered",
+			len(after), len(tapes))
+	}
+}
+
+// openTapeRecords opens the log at path and returns it with its
+// records and the indices of the tape records among them.
+func openTapeRecords(t *testing.T, path string) (*wal.Log, [][]byte, []int) {
+	t.Helper()
+	log, payloads, err := wal.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(clean, []byte(`"options":{`),
-		[]byte(`"options":{"portfolio_workers":4,"portfolio_racers":2,`), 1)
-	if bytes.Equal(old, clean) {
-		t.Fatalf("spec JSON has no options object to extend: %s", clean)
-	}
-	rebuild := func(spec []byte) *Job {
-		t.Helper()
-		h := &jobHistory{id: "j1", spec: spec}
-		j, err := h.rebuild(16)
-		if err != nil {
-			t.Fatalf("rebuild(%s): %v", spec, err)
+	var tapes []int
+	for i, p := range payloads {
+		var r walRec
+		if err := json.Unmarshal(p, &r); err != nil {
+			t.Fatal(err)
 		}
-		return j
+		if r.T == recTape {
+			tapes = append(tapes, i)
+		}
 	}
-	got, want := rebuild(old), rebuild(clean)
-	if !reflect.DeepEqual(got.Spec, want.Spec) {
-		t.Errorf("rebuilt spec = %+v, want %+v", got.Spec, want.Spec)
-	}
-	if got.mat.attack != want.mat.attack || got.mat.circuit != want.mat.circuit ||
-		!reflect.DeepEqual(got.mat.key, want.mat.key) {
-		t.Errorf("materialized %s %+v key %v, want %s %+v key %v",
-			got.mat.attack, got.mat.circuit, got.mat.key, want.mat.attack, want.mat.circuit, want.mat.key)
-	}
-	if got.State() != want.State() {
-		t.Errorf("rebuilt state = %s, want %s", got.State(), want.State())
-	}
+	return log, payloads, tapes
 }
 
 // TestFoldLogOrdersJobsByID feeds foldLog the job records of two

@@ -69,7 +69,7 @@ func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
 		opts := statsat.Options{
 			Ns: o.Ns, NSatis: o.NSatis, NEval: o.NEval, NInst: o.NInst,
 			ULambda: o.ULambda, ELambda: o.ELambda, EpsG: epsG,
-			MaxTotalIter: o.MaxIter, Seed: j.Spec.Seed, Parallel: o.Parallel,
+			MaxTotalIter: o.MaxIter, Seed: j.Spec.Seed,
 			Tracer: j.tracer(), Checkpoint: j.sinks.ckpt,
 		}
 		res, err := statsat.AttackCtx(ctx, mat.locked, orc, opts)

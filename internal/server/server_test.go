@@ -411,9 +411,13 @@ func TestAPIErrors(t *testing.T) {
 	if resp := post(`{"no_such_field": 1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field = %s, want 400", resp.Status)
 	}
-	// Retired solver-racing options are unknown fields like any other.
+	// Retired options (solver racing, concurrent StatSAT instances)
+	// are unknown fields like any other.
 	if resp := post(`{"benchmark": "c17", "options": {"portfolio_workers": 4, "portfolio_racers": 2}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("retired racing options = %s, want 400", resp.Status)
+	}
+	if resp := post(`{"benchmark": "c17", "options": {"parallel": true}}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("retired parallel option = %s, want 400", resp.Status)
 	}
 	if resp := post(`{"benchmark": "c432"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid spec = %s, want 400", resp.Status)

@@ -87,9 +87,8 @@ type SpecOptions struct {
 	// EpsG is the attacker's gate-error estimate for BER gating; 0
 	// defaults to Eps (the server simulates the chip, so the "known
 	// eps_g" assumption of §V costs nothing).
-	EpsG     float64 `json:"epsg,omitempty"`
-	MaxIter  int     `json:"max_iter,omitempty"`
-	Parallel bool    `json:"parallel,omitempty"`
+	EpsG    float64 `json:"epsg,omitempty"`
+	MaxIter int     `json:"max_iter,omitempty"`
 }
 
 // attackKinds is the closed set of engines a job may request.

@@ -10,8 +10,8 @@
 // field and unit is specified in docs/OBSERVABILITY.md. Changes to the
 // schema must update that document.
 //
-// Emission is race-safe: the attack engines may emit from concurrent
-// instance goroutines; the Emitter stamps a process-wide-unique
+// Emission is race-safe: StatSAT's key-scoring workers emit from
+// concurrent goroutines; the Emitter stamps a process-wide-unique
 // sequence number and a monotonic timestamp atomically, and every sink
 // shipped here serialises its writes internally.
 package trace
@@ -69,7 +69,7 @@ const (
 // event type as documented in docs/OBSERVABILITY.md.
 type Event struct {
 	// Seq is a per-trace sequence number, strictly increasing from 1
-	// in emission order (total order even across instance goroutines).
+	// in emission order (total order even across emitting goroutines).
 	Seq int64 `json:"seq"`
 	// TNs is the monotonic time of emission in nanoseconds since the
 	// trace began (emitter creation, just before attack_start).
@@ -117,16 +117,15 @@ type CircuitInfo struct {
 // OptionsInfo echoes the attack parameters in force (attack_start).
 // Zero-valued knobs that an engine does not use are omitted.
 type OptionsInfo struct {
-	Ns       int     `json:"ns,omitempty"`
-	NSatis   int     `json:"nsatis,omitempty"`
-	NEval    int     `json:"neval,omitempty"`
-	EvalNs   int     `json:"eval_ns,omitempty"`
-	NInst    int     `json:"ninst,omitempty"`
-	ULambda  float64 `json:"ulambda,omitempty"`
-	ELambda  float64 `json:"elambda,omitempty"`
-	EpsG     float64 `json:"epsg,omitempty"`
-	MaxIter  int     `json:"max_iter,omitempty"`
-	Parallel bool    `json:"parallel,omitempty"`
+	Ns      int     `json:"ns,omitempty"`
+	NSatis  int     `json:"nsatis,omitempty"`
+	NEval   int     `json:"neval,omitempty"`
+	EvalNs  int     `json:"eval_ns,omitempty"`
+	NInst   int     `json:"ninst,omitempty"`
+	ULambda float64 `json:"ulambda,omitempty"`
+	ELambda float64 `json:"elambda,omitempty"`
+	EpsG    float64 `json:"epsg,omitempty"`
+	MaxIter int     `json:"max_iter,omitempty"`
 }
 
 // SolverStats is a point-in-time snapshot of one instance's miter
@@ -266,7 +265,7 @@ type InterruptInfo struct {
 }
 
 // Tracer receives trace events. Implementations must be safe for
-// concurrent Emit calls: the parallel instance scheduler emits from
+// concurrent Emit calls: StatSAT's key-scoring workers emit from
 // multiple goroutines.
 type Tracer interface {
 	Emit(ev Event)
@@ -280,7 +279,7 @@ type Tracer interface {
 // Stamping and forwarding happen under one lock, which yields the
 // ordering contract consumers rely on: the sink receives events in Seq
 // order (1, 2, 3, ...) with non-decreasing TNs, even when concurrent
-// instance goroutines emit simultaneously.
+// goroutines emit simultaneously.
 type Emitter struct {
 	t     Tracer
 	start time.Time

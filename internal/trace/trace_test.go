@@ -62,10 +62,10 @@ func TestNilEmitterDropsEverything(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmission drives one emitter from many goroutines (the
-// parallel-instance scenario) and checks that the trace keeps a total
-// order: every event lands intact with a unique sequence number. Run
-// with -race to check the emission path for data races.
+// TestConcurrentEmission drives one emitter from many goroutines, as
+// StatSAT's key-scoring workers do, and checks that the trace keeps a
+// total order: every event lands intact with a unique sequence number.
+// Run with -race to check the emission path for data races.
 func TestConcurrentEmission(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder()

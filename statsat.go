@@ -30,9 +30,10 @@
 // start/end with SAT-solver counters, distinguishing-input discovery,
 // output bits gated by the U_lambda/E_lambda thresholds, instance
 // forks and force-proceeds, key acceptance, and FM/HD scoring. Events
-// carry a total-order sequence number and a monotonic timestamp, and
-// emission is safe under Options.Parallel. The wire format and the
-// exact payload of every event type are documented in
+// carry a total-order sequence number and a monotonic timestamp. The
+// FM/HD scoring workers emit concurrently, so a custom Tracer must
+// tolerate concurrent Emit calls (the shipped sinks do). The wire
+// format and the exact payload of every event type are documented in
 // docs/OBSERVABILITY.md; tracing never changes attack behaviour or
 // results.
 //
