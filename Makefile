@@ -15,8 +15,9 @@ build:
 	go build ./...
 
 # statlint: the stdlib-only project linter (globalrand, walltime,
-# bufretain, tracegate, floateq, ctxflow, goleak, lockscope,
-# seedflow). Nonzero exit on any finding.
+# bufretain, tracegate, floateq, ctxflow, lockscope, seedflow).
+# Nonzero exit on any finding. Goroutine exits are checked at run
+# time instead, by internal/leakcheck inside the race target's tests.
 statlint:
 	go run ./cmd/statlint ./...
 

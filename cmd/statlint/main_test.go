@@ -15,7 +15,7 @@ import (
 // fixture.
 func TestBadFixtureExitsNonzero(t *testing.T) {
 	findingLine := regexp.MustCompile(`(?m)^\S*fixture\.go:\d+:\d+: \[\w+\] .+$`)
-	for _, check := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "goleak", "lockscope", "seedflow"} {
+	for _, check := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "lockscope", "seedflow"} {
 		t.Run(check, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			code := run(context.Background(), []string{"../../internal/lint/testdata/" + check}, &stdout, &stderr)
@@ -50,7 +50,7 @@ func TestListCatalogue(t *testing.T) {
 	if code := run(context.Background(), []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, check := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "ctxflow", "goleak", "lockscope", "seedflow", "doclinks"} {
+	for _, check := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "ctxflow", "lockscope", "seedflow", "doclinks"} {
 		if !strings.Contains(stdout.String(), check) {
 			t.Errorf("-list output missing %s:\n%s", check, stdout.String())
 		}

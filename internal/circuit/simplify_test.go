@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
+// exhaustiveBits is the widest PI-plus-key count equivalentOnSamples
+// checks in full: 2^16 assignments cost well under a second.
+const exhaustiveBits = 16
+
 // equivalentOnSamples cross-checks two circuits with identical
-// interfaces on random vectors.
+// interfaces: on every PI and key assignment when they have at most
+// exhaustiveBits such bits, otherwise on samples random vectors.
 func equivalentOnSamples(t *testing.T, a, b *Circuit, samples int, seed int64) {
 	t.Helper()
 	if a.NumPIs() != b.NumPIs() || a.NumKeys() != b.NumKeys() || a.NumPOs() != b.NumPOs() {
 		t.Fatalf("interface mismatch: %d/%d PIs, %d/%d keys, %d/%d POs",
 			a.NumPIs(), b.NumPIs(), a.NumKeys(), b.NumKeys(), a.NumPOs(), b.NumPOs())
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for s := 0; s < samples; s++ {
-		pi := a.RandomInputs(rng)
-		key := a.RandomKey(rng)
+	same := func(pi, key []bool) {
+		t.Helper()
 		x := a.Eval(pi, key, nil)
 		y := b.Eval(pi, key, nil)
 		for i := range x {
@@ -24,6 +27,23 @@ func equivalentOnSamples(t *testing.T, a, b *Circuit, samples int, seed int64) {
 				t.Fatalf("output %d differs for pi=%v key=%v", i, pi, key)
 			}
 		}
+	}
+	pi, key := make([]bool, a.NumPIs()), make([]bool, a.NumKeys())
+	if n := len(pi) + len(key); n <= exhaustiveBits {
+		for v := 0; v < 1<<n; v++ {
+			for i := range pi {
+				pi[i] = v>>i&1 == 1
+			}
+			for i := range key {
+				key[i] = v>>(len(pi)+i)&1 == 1
+			}
+			same(pi, key)
+		}
+		return
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for s := 0; s < samples; s++ {
+		same(a.RandomInputs(rng), a.RandomKey(rng))
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 
 	"statsat/internal/circuit"
 	"statsat/internal/gen"
+	"statsat/internal/leakcheck"
 	"statsat/internal/lock"
 	"statsat/internal/metrics"
 	"statsat/internal/oracle"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // quickOpts returns CI-sized attack options.
 func quickOpts(eps float64, nInst int) Options {

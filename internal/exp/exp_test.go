@@ -6,7 +6,11 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"statsat/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func TestProfileByName(t *testing.T) {
 	for _, n := range []string{"paper", "quick", "smoke"} {

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // Module is the cross-package view the interprocedural checks consume:
@@ -14,21 +13,14 @@ import (
 // through interface/func-typed values are not resolved; the summary
 // rules treat such calls conservatively (see summary.go).
 type Module struct {
-	Pkgs []*Package
 	// Funcs indexes every function and method with a body declared in
 	// the analyzed packages.
 	Funcs map[*types.Func]*FuncInfo
-	// ClosedChans records every channel-valued object (local variable,
-	// struct field, or package-level variable) that some analyzed
-	// function close()s. A goroutine ranging or receiving on such a
-	// channel has a bounded exit once the closer runs.
-	ClosedChans map[types.Object]bool
 }
 
 // FuncInfo is one call-graph node: a declared function or method, its
 // resolved module-internal callees, and its computed Summary.
 type FuncInfo struct {
-	Obj     *types.Func
 	Decl    *ast.FuncDecl
 	Pkg     *Package
 	Callees []*types.Func
@@ -40,11 +32,7 @@ type FuncInfo struct {
 // callee-first order, and within each SCC the (monotone) summaries are
 // iterated to a fixpoint, so mutual recursion converges.
 func NewModule(pkgs []*Package) *Module {
-	m := &Module{
-		Pkgs:        pkgs,
-		Funcs:       map[*types.Func]*FuncInfo{},
-		ClosedChans: map[types.Object]bool{},
-	}
+	m := &Module{Funcs: map[*types.Func]*FuncInfo{}}
 	// Index declarations in deterministic (source) order.
 	var order []*FuncInfo
 	for _, p := range pkgs {
@@ -58,34 +46,17 @@ func NewModule(pkgs []*Package) *Module {
 				if !ok {
 					continue
 				}
-				fi := &FuncInfo{Obj: f, Decl: fd, Pkg: p, Sum: &Summary{}}
+				fi := &FuncInfo{Decl: fd, Pkg: p, Sum: &Summary{}}
 				m.Funcs[f] = fi
 				order = append(order, fi)
 			}
 		}
 	}
-	// Edges and the module-wide closed-channel set. close() evidence
-	// counts wherever it appears — including goroutine bodies — so this
-	// walk does not skip FuncLits the way the summarizer does.
+	// Module-internal call edges.
 	for _, fi := range order {
-		p := fi.Pkg
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
-					if b.Name() == "close" && len(call.Args) == 1 {
-						if obj := exprObj(p, call.Args[0]); obj != nil {
-							m.ClosedChans[obj] = true
-						}
-					}
-					return true
-				}
-			}
-			if g := funcObj(p.Info, call); g != nil {
-				if _, ok := m.Funcs[g]; ok {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if g := funcObj(fi.Pkg.Info, call); g != nil && m.Funcs[g] != nil {
 					fi.Callees = append(fi.Callees, g)
 				}
 			}
@@ -170,35 +141,4 @@ func (m *Module) sccs(order []*FuncInfo) [][]*FuncInfo {
 		}
 	}
 	return out
-}
-
-// exprObj resolves the object a channel-or-variable expression denotes:
-// a plain identifier, or a selector naming a struct field or qualified
-// package-level variable. Anything more dynamic (map index, function
-// result) resolves to nil.
-func exprObj(p *Package, e ast.Expr) types.Object {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if o := p.Info.Uses[x]; o != nil {
-			return o
-		}
-		return p.Info.Defs[x]
-	case *ast.SelectorExpr:
-		if sel, ok := p.Info.Selections[x]; ok {
-			return sel.Obj()
-		}
-		return p.Info.Uses[x.Sel]
-	}
-	return nil
-}
-
-// sortedObjs renders a deterministic order over an object set (used
-// only for summary equality, never for output).
-func sortedObjs(set map[types.Object]bool) []types.Object {
-	objs := make([]types.Object, 0, len(set))
-	for o := range set {
-		objs = append(objs, o)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
-	return objs
 }

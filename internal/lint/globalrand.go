@@ -11,20 +11,18 @@ import (
 // (parameter or struct field) derived from run coordinates, or the
 // scheduler's byte-identical-output-at-any-worker-count guarantee
 // silently breaks: the global source is shared mutable state whose
-// consumption order depends on goroutine interleaving. Additionally,
-// rand.New must be seeded right at the call site
-// (rand.New(rand.NewSource(seed))) so the seed provenance is
-// auditable. Examples are in scope because they are the copy-paste
-// templates users start from: a global-rand example teaches the exact
-// anti-pattern the check exists to keep out.
+// consumption order depends on goroutine interleaving. Where the seed
+// of an explicit source comes from is seedflow's business. Examples
+// are in scope because they are the copy-paste templates users start
+// from: a global-rand example teaches the exact anti-pattern the check
+// exists to keep out.
 type GlobalRand struct{}
 
 func (GlobalRand) Name() string { return "globalrand" }
 
 func (GlobalRand) Doc() string {
-	return "forbids package-level math/rand functions and rand.New calls not seeded " +
-		"directly from rand.NewSource; all randomness must flow from an explicit " +
-		"seeded *rand.Rand so output is deterministic at any worker count"
+	return "forbids package-level math/rand functions; all randomness must flow " +
+		"from an explicit seeded *rand.Rand so output is deterministic at any worker count"
 }
 
 func (GlobalRand) Applies(pkgPath string) bool {
@@ -44,71 +42,26 @@ func isRandPkg(path string) bool {
 
 func (c GlobalRand) Run(p *Package, _ *Module) []Finding {
 	var out []Finding
-	seededNew := map[*ast.Ident]bool{} // rand.New idents whose arg is rand.NewSource(...)
-
-	// First pass: find rand.New(rand.NewSource(...)) call shapes so
-	// the second pass can tell seeded from un-seeded uses.
-	walkStack(p, func(n ast.Node, _ []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		f := funcObj(p.Info, call)
-		if f == nil || f.Pkg() == nil || !isRandPkg(f.Pkg().Path()) || f.Name() != "New" {
-			return
-		}
-		if len(call.Args) != 1 {
-			return
-		}
-		arg, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		af := funcObj(p.Info, arg)
-		if af == nil || af.Pkg() == nil || !isRandPkg(af.Pkg().Path()) {
-			return
-		}
-		if af.Name() != "NewSource" && af.Name() != "NewPCG" && af.Name() != "NewChaCha8" {
-			return
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			seededNew[sel.Sel] = true
-		} else if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			seededNew[id] = true
-		}
-	})
-
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			obj := p.Info.Uses[id]
-			f, ok := obj.(*types.Func)
-			if !ok || f.Pkg() == nil || !isRandPkg(f.Pkg().Path()) {
+			f, ok := p.Info.Uses[id].(*types.Func)
+			if !ok || f.Pkg() == nil || !isRandPkg(f.Pkg().Path()) || randConstructors[f.Name()] {
 				return true
 			}
 			if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
 				return true // methods on *rand.Rand / Source are fine
 			}
-			switch {
-			case !randConstructors[f.Name()]:
-				out = append(out, Finding{
-					Pos:   p.Fset.Position(id.Pos()),
-					Check: c.Name(),
-					Message: "use of global " + f.Pkg().Path() + "." + f.Name() +
-						"; randomness must flow from an explicit seeded *rand.Rand " +
-						"derived from run coordinates",
-				})
-			case f.Name() == "New" && !seededNew[id]:
-				out = append(out, Finding{
-					Pos:   p.Fset.Position(id.Pos()),
-					Check: c.Name(),
-					Message: "rand.New not seeded at the call site; write " +
-						"rand.New(rand.NewSource(<derived seed>)) so seed provenance is auditable",
-				})
-			}
+			out = append(out, Finding{
+				Pos:   p.Fset.Position(id.Pos()),
+				Check: c.Name(),
+				Message: "use of global " + f.Pkg().Path() + "." + f.Name() +
+					"; randomness must flow from an explicit seeded *rand.Rand " +
+					"derived from run coordinates",
+			})
 			return true
 		})
 	}

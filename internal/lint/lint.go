@@ -81,7 +81,6 @@ func DefaultChecks() []Check {
 		TraceGate{},
 		FloatEq{},
 		CtxFlow{},
-		GoLeak{},
 		LockScope{},
 		SeedFlow{},
 	}
@@ -109,7 +108,7 @@ func inScope(pkgPath string, prefixes ...string) bool {
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	check  string // check name, or "*" for any
+	check  string
 	reason string
 	line   int
 	pos    token.Position
@@ -154,14 +153,11 @@ func parseIgnores(fset *token.FileSet, file *ast.File) (dirs []*ignoreDirective,
 }
 
 // suppressed reports whether f is covered by a directive: same check
-// name (or "*"), same file, and the directive sits on the finding's
-// line or the line above it.
+// name, same file, and the directive sits on the finding's line or the
+// line above it.
 func suppressed(f Finding, dirs []*ignoreDirective) bool {
 	for _, d := range dirs {
-		if d.check != "*" && d.check != f.Check {
-			continue
-		}
-		if d.pos.Filename != f.Pos.Filename {
+		if d.check != f.Check || d.pos.Filename != f.Pos.Filename {
 			continue
 		}
 		if d.line == f.Pos.Line || d.line == f.Pos.Line-1 {
@@ -229,17 +225,23 @@ func RunChecks(pkgs []*Package, checks []Check) []Finding {
 // stdlib ast.Inspect alone does not expose parents.
 func walkStack(p *Package, fn func(n ast.Node, stack []ast.Node)) {
 	for _, file := range p.Files {
-		var stack []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			fn(n, stack)
-			stack = append(stack, n)
-			return true
-		})
+		inspectStack(file, fn)
 	}
+}
+
+// inspectStack is walkStack for a single subtree: fn receives each node
+// with the stack of its ancestors within root (outermost first).
+func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		fn(n, stack)
+		stack = append(stack, n)
+		return true
+	})
 }
 
 // funcObj resolves the called function/method object of a call
@@ -257,18 +259,4 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// pkgFuncUse reports whether the identifier use resolves to the
-// package-level function pkgPath.name, returning the resolved func.
-func pkgFunc(obj types.Object, pkgPath string) (*types.Func, bool) {
-	f, ok := obj.(*types.Func)
-	if !ok || f.Pkg() == nil || f.Pkg().Path() != pkgPath {
-		return nil, false
-	}
-	// Package-level functions only: methods have a receiver.
-	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return nil, false
-	}
-	return f, true
 }

@@ -39,7 +39,7 @@ func TestCheckMetadata(t *testing.T) {
 		}
 		seen[c.Name()] = true
 	}
-	for _, name := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "ctxflow", "goleak", "lockscope", "seedflow"} {
+	for _, name := range []string{"globalrand", "walltime", "bufretain", "tracegate", "floateq", "ctxflow", "lockscope", "seedflow"} {
 		if !seen[name] {
 			t.Errorf("catalogue is missing check %q", name)
 		}
@@ -149,8 +149,8 @@ func TestWallTimeScope(t *testing.T) {
 
 // TestExampleScope pins the examples-as-templates rule: the seed and
 // randomness provenance checks cover examples/ (they are what users
-// copy first), while the concurrency checks stay internal-only —
-// examples are single-goroutine mains.
+// copy first), while the concurrency and attack-layer checks stay
+// internal-only — examples are single-goroutine mains.
 func TestExampleScope(t *testing.T) {
 	const ex = "statsat/examples/quickstart"
 	for _, c := range []Check{GlobalRand{}, SeedFlow{}} {
@@ -158,7 +158,7 @@ func TestExampleScope(t *testing.T) {
 			t.Errorf("%s should apply to %s", c.Name(), ex)
 		}
 	}
-	for _, c := range []Check{GoLeak{}, LockScope{}, TraceGate{}, CtxFlow{}} {
+	for _, c := range []Check{LockScope{}, TraceGate{}, CtxFlow{}} {
 		if c.Applies(ex) {
 			t.Errorf("%s should not apply to %s", c.Name(), ex)
 		}
@@ -185,22 +185,6 @@ func TestExpandIncludesExamples(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("Expand(./...) from the module root missed examples/quickstart; got %d dirs", len(dirs))
-	}
-}
-
-// TestGoLeakScope pins the concurrent-subsystem scope of the goroutine
-// leak check.
-func TestGoLeakScope(t *testing.T) {
-	c := GoLeak{}
-	for _, path := range []string{"statsat/internal/server", "statsat/internal/core", "statsat/internal/trace"} {
-		if !c.Applies(path) {
-			t.Errorf("goleak should apply to %s", path)
-		}
-	}
-	for _, path := range []string{"statsat", "statsat/internal/gen", "statsat/cmd/statsatd"} {
-		if c.Applies(path) {
-			t.Errorf("goleak should not apply to %s", path)
-		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // SeedFlow closes the provenance gap globalrand leaves open:
-// globalrand pins the call-site *shape* (rand.New(rand.NewSource(x)))
-// but says nothing about where x came from. SeedFlow vets every seed
-// position — an argument bound to a seed-named parameter (which covers
+// globalrand forbids the global source but says nothing about where
+// the seed of an explicit rand.NewSource(x) came from, however the
+// source is wrapped afterwards. SeedFlow vets every seed position — an argument bound to a seed-named parameter (which covers
 // rand.NewSource itself, deriveSeed, newSeededRand, MeasureBER, …),
 // and assignments or composite-literal fields whose target is
 // seed-named — and requires the value to trace back to run
@@ -46,7 +46,7 @@ func (SeedFlow) Applies(pkgPath string) bool {
 		inScope(pkgPath, "statsat/internal", "statsat/examples")
 }
 
-func (c SeedFlow) Run(p *Package, m *Module) []Finding {
+func (c SeedFlow) Run(p *Package, _ *Module) []Finding {
 	var out []Finding
 	vet := func(e ast.Expr) {
 		// Seeds are integers; a seed-named map/struct/func value (the

@@ -15,23 +15,9 @@ type Summary struct {
 	// channel send/receive or select outside a select-with-default, a
 	// WaitGroup/Cond Wait, time.Sleep, a Solve* call, or a module
 	// callee that blocks. BlockDesc names the first (source-order)
-	// piece of evidence.
+	// piece of evidence. Consumed by lockscope.
 	Blocks    bool
 	BlockDesc string
-	// ObservesCancel reports that the function (or a module callee)
-	// reads ctx.Done() or polls ctx.Err() — the repo's two sanctioned
-	// cancellation idioms.
-	ObservesCancel bool
-	// WGDone reports a (possibly deferred) sync.WaitGroup.Done call,
-	// the evidence that a spawner's wg.Wait joins this goroutine.
-	WGDone bool
-	// Loops reports a `for` with no condition; together with !Blocks it
-	// decides Terminates.
-	Loops bool
-	// RecvChans are the channel objects the function receives from,
-	// ranges over, or selects on; a goroutine is bounded when one of
-	// them is in Module.ClosedChans.
-	RecvChans map[types.Object]bool
 	// RetainsParam marks parameter indices the function stores into a
 	// struct field, package-level variable, composite literal, or
 	// passes to a callee that retains them. Consumed by the escalated
@@ -44,26 +30,13 @@ type Summary struct {
 	ReturnsBufAlias bool
 }
 
-// Terminates reports that the function provably runs to completion:
-// nothing in it (or its module callees) blocks or loops unconditionally.
-func (s *Summary) Terminates() bool { return !s.Blocks && !s.Loops }
-
 func (s *Summary) equal(o *Summary) bool {
 	if o == nil {
 		return false
 	}
 	if s.Blocks != o.Blocks || s.BlockDesc != o.BlockDesc ||
-		s.ObservesCancel != o.ObservesCancel || s.WGDone != o.WGDone ||
-		s.Loops != o.Loops || s.ReturnsBufAlias != o.ReturnsBufAlias {
+		s.ReturnsBufAlias != o.ReturnsBufAlias || len(s.RetainsParam) != len(o.RetainsParam) {
 		return false
-	}
-	if len(s.RecvChans) != len(o.RecvChans) || len(s.RetainsParam) != len(o.RetainsParam) {
-		return false
-	}
-	for c := range s.RecvChans {
-		if !o.RecvChans[c] {
-			return false
-		}
 	}
 	for i := range s.RetainsParam {
 		if !o.RetainsParam[i] {
@@ -80,23 +53,12 @@ func (s *Summary) block(desc string) {
 	}
 }
 
-func (s *Summary) recvChan(obj types.Object) {
-	if obj == nil {
-		return
-	}
-	if s.RecvChans == nil {
-		s.RecvChans = map[types.Object]bool{}
-	}
-	s.RecvChans[obj] = true
-}
-
-// summarize computes the concurrency half of a Summary for one
-// function body (declared function, method, or goroutine FuncLit).
-// Nested FuncLits are opaque — they run at some other time — except
-// when directly deferred, since a deferred literal executes on this
-// function's own exit path (the `defer func() { <-sem; wg.Done() }()`
-// idiom). go statements are skipped entirely: what a spawned goroutine
-// does is its own summary's business.
+// summarize computes the blocking half of a Summary for one function
+// body (declared function or method). Nested FuncLits are opaque —
+// they run at some other time — except when directly deferred, since a
+// deferred literal executes on this function's own exit path (the
+// `defer func() { <-sem; wg.Done() }()` idiom). go statements are
+// skipped entirely: what a spawned goroutine does is its own business.
 func (m *Module) summarize(p *Package, body *ast.BlockStmt) *Summary {
 	s := &Summary{}
 
@@ -145,103 +107,28 @@ func (m *Module) summarize(p *Package, body *ast.BlockStmt) *Summary {
 			if !hasDefault[x] {
 				s.block("select without default")
 			}
-			// Record what the select receives on either way.
-			for _, c := range x.Body.List {
-				cc := c.(*ast.CommClause)
-				var recv ast.Expr
-				switch comm := cc.Comm.(type) {
-				case *ast.ExprStmt:
-					recv = comm.X
-				case *ast.AssignStmt:
-					if len(comm.Rhs) == 1 {
-						recv = comm.Rhs[0]
-					}
-				}
-				if u, ok := ast.Unparen(recv).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					m.markRecv(p, s, u.X)
-				}
-			}
 		case *ast.SendStmt:
 			if !commOp[x] {
 				s.block("channel send")
 			}
 		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				m.markRecv(p, s, x.X)
-				if !commOp[x] {
-					s.block("channel receive")
-				}
+			if x.Op == token.ARROW && !commOp[x] {
+				s.block("channel receive")
 			}
 		case *ast.RangeStmt:
 			if tv, ok := p.Info.Types[x.X]; ok && tv.Type != nil {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					s.block("range over a channel")
-					s.recvChan(exprObj(p, x.X))
 				}
 			}
-		case *ast.ForStmt:
-			if x.Cond == nil {
-				s.Loops = true
-			}
 		case *ast.CallExpr:
-			m.summarizeCall(p, s, x)
+			if desc, blocks := m.callBlocks(p, x); blocks {
+				s.block(desc)
+			}
 		}
 		return true
 	})
 	return s
-}
-
-// markRecv records cancellation/closed-channel evidence for a receive
-// operand: <-ctx.Done() observes cancellation, anything resolvable is a
-// received-from channel object.
-func (m *Module) markRecv(p *Package, s *Summary, ch ast.Expr) {
-	if ch == nil {
-		return
-	}
-	if call, ok := ast.Unparen(ch).(*ast.CallExpr); ok {
-		if f := funcObj(p.Info, call); f != nil && f.Pkg() != nil &&
-			f.Pkg().Path() == "context" && f.Name() == "Done" {
-			s.ObservesCancel = true
-		}
-		return
-	}
-	s.recvChan(exprObj(p, ch))
-}
-
-// summarizeCall folds one call's evidence into s: direct blocking
-// classification plus union of the callee's summary for module-internal
-// calls.
-func (m *Module) summarizeCall(p *Package, s *Summary, call *ast.CallExpr) {
-	f := funcObj(p.Info, call)
-	if f == nil {
-		return
-	}
-	if f.Pkg() != nil && f.Pkg().Path() == "context" &&
-		(f.Name() == "Done" || f.Name() == "Err") {
-		s.ObservesCancel = true
-		return
-	}
-	if recv := syncRecv(f); recv != "" {
-		switch {
-		case f.Name() == "Done" && recv == "WaitGroup":
-			s.WGDone = true
-		case f.Name() == "Wait" && (recv == "WaitGroup" || recv == "Cond"):
-			s.block("sync." + recv + ".Wait")
-		}
-		return
-	}
-	if desc, blocks := m.callBlocks(p, call); blocks {
-		s.block(desc)
-	}
-	if fi := m.Funcs[f]; fi != nil && fi.Sum != nil {
-		sum := fi.Sum
-		s.ObservesCancel = s.ObservesCancel || sum.ObservesCancel
-		s.WGDone = s.WGDone || sum.WGDone
-		s.Loops = s.Loops || sum.Loops
-		for c := range sum.RecvChans {
-			s.recvChan(c)
-		}
-	}
 }
 
 // callBlocks classifies a call as potentially long-blocking: WaitGroup
@@ -358,13 +245,7 @@ func (m *Module) retentionPass(p *Package, decl *ast.FuncDecl, s *Summary) {
 				if !ok {
 					continue
 				}
-				g := funcObj(p.Info, call)
-				if g == nil {
-					continue
-				}
-				if bufReturningFuncs[g.Name()] {
-					s.ReturnsBufAlias = true
-				} else if gs := m.SummaryOf(g); gs != nil && gs.ReturnsBufAlias {
+				if g := funcObj(p.Info, call); g != nil && aliasesBuf(m, g) {
 					s.ReturnsBufAlias = true
 				}
 			}
@@ -373,100 +254,12 @@ func (m *Module) retentionPass(p *Package, decl *ast.FuncDecl, s *Summary) {
 			if !isParam {
 				return
 			}
-			if m.valueRetained(p, x, stack) {
+			if m.retainedAt(p, x, stack) != "" {
 				if s.RetainsParam == nil {
 					s.RetainsParam = map[int]bool{}
 				}
 				s.RetainsParam[idx] = true
 			}
 		}
-	})
-}
-
-// valueRetained walks outward from a value use through the same
-// value-preserving wrappers bufretain recognizes and reports whether
-// the value lands somewhere that outlives the call: a retained
-// assignment destination, a composite literal, or an argument position
-// a module callee retains. append(dst, v...) copies and is safe.
-func (m *Module) valueRetained(p *Package, use ast.Expr, stack []ast.Node) bool {
-	val := ast.Node(use)
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.ParenExpr:
-			val = parent
-			continue
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(parent.Fun).(*ast.Ident); ok && id.Name == "append" {
-				if _, builtin := p.Info.Uses[id].(*types.Builtin); builtin {
-					spread := parent.Ellipsis.IsValid() && len(parent.Args) > 0 &&
-						sameExpr(parent.Args[len(parent.Args)-1], val)
-					if spread {
-						return false // element copy, the sanctioned idiom
-					}
-					val = parent
-					continue
-				}
-			}
-			// Passed to a callee: retained iff the callee's summary says
-			// that argument position escapes.
-			g := funcObj(p.Info, parent)
-			if g == nil {
-				return false
-			}
-			gs := m.SummaryOf(g)
-			if gs == nil || len(gs.RetainsParam) == 0 {
-				return false
-			}
-			for argIdx, arg := range parent.Args {
-				if sameExpr(arg, val) {
-					return gs.RetainsParam[argIdx]
-				}
-			}
-			return false
-		case *ast.KeyValueExpr:
-			if parent.Key == val {
-				return false
-			}
-			val = parent
-			continue
-		case *ast.CompositeLit:
-			return true
-		case *ast.UnaryExpr:
-			if parent.Op == token.AND {
-				val = parent
-				continue
-			}
-			return false
-		case *ast.AssignStmt:
-			if _, retained := assignTarget(p, parent, val); retained {
-				return true
-			}
-			return false
-		case *ast.ValueSpec:
-			for _, name := range parent.Names {
-				if obj := p.Info.Defs[name]; obj != nil && obj.Parent() == p.Types.Scope() {
-					return true
-				}
-			}
-			return false
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// inspectStack is walkStack for a single subtree: fn receives each node
-// with the stack of its ancestors within root (outermost first).
-func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
 	})
 }

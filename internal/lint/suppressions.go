@@ -10,7 +10,7 @@ import (
 // packages, as reported by the `statlint -suppressions` inventory.
 type Suppression struct {
 	Pos    token.Position
-	Check  string // the suppressed check name, or "*"
+	Check  string // the suppressed check name
 	Reason string
 }
 
@@ -25,7 +25,7 @@ func (s Suppression) String() string {
 // exists (the stale-after-a-rename failure the -suppressions CI gate
 // exists to catch) come back as findings.
 func SuppressionReport(pkgs []*Package, checks []Check) ([]Suppression, []Finding) {
-	valid := map[string]bool{"*": true}
+	valid := map[string]bool{}
 	for _, c := range checks {
 		valid[c.Name()] = true
 	}

@@ -1,6 +1,6 @@
 // Package fixture exercises the globalrand check: the global
-// math/rand source is forbidden, and rand.New must be seeded directly
-// at the call site. Expected findings are marked with `// want`.
+// math/rand source is forbidden. Expected findings are marked with
+// `// want`.
 package fixture
 
 import "math/rand"
@@ -15,11 +15,6 @@ func badGlobalValue() func() float64 {
 
 func badShuffle(xs []int, n int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want `\[globalrand\] use of global math/rand\.Shuffle`
-}
-
-func badIndirectNew(seed int64) *rand.Rand {
-	src := rand.NewSource(seed)
-	return rand.New(src) // want `\[globalrand\] rand\.New not seeded at the call site`
 }
 
 func goodSeededNew(seed int64) *rand.Rand {

@@ -68,6 +68,13 @@ func goodIndexed(seeds []int64, inst int) *rand.Rand {
 	return rand.New(rand.NewSource(seeds[inst]))
 }
 
+// goodIndirect: a source built one statement up and wrapped later is
+// vetted where it is seeded.
+func goodIndirect(seed int64) *rand.Rand {
+	src := rand.NewSource(seed)
+	return rand.New(src)
+}
+
 // goodSpec: a declaration with a seed-named target rooted in a
 // seed-named input.
 func goodSpec(opts Options, inst int) int64 {
@@ -92,6 +99,13 @@ func reseedGood(cfg *runConfig, workerID int) {
 // badBare: a bare loop/worker index has no visible provenance.
 func badBare(inst int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(inst) * 2654435761)) // want `\[seedflow\] seed value has no visible provenance`
+}
+
+// badIndirect: wrapping the source afterwards does not hide a
+// coordinate-only seed.
+func badIndirect(inst int) *rand.Rand {
+	src := rand.NewSource(int64(inst)) // want `\[seedflow\] seed value has no visible provenance`
+	return rand.New(src)
 }
 
 // badOpaque: the provenance is hidden behind a non-seed-named call.

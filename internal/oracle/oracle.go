@@ -128,7 +128,6 @@ func NewProbabilistic(c *circuit.Circuit, key []bool, eps float64, seed int64) *
 		panic(fmt.Sprintf("oracle: gate error probability %v out of [0,1]", eps))
 	}
 	src := circuit.NewNoiseSource(seed)
-	//lint:ignore globalrand circuit.NoiseSource wraps the rand.NewSource(seed) built inside circuit.NewNoiseSource one call up; seed provenance stays auditable and the wrapper only counts draws for checkpoint/resume
 	rng := rand.New(src)
 	return &Probabilistic{
 		c:          c,

@@ -96,6 +96,11 @@ type Outcome struct {
 	// are best-effort partials (docs/ARCHITECTURE.md).
 	Interrupted    bool   `json:"interrupted,omitempty"`
 	InterruptCause string `json:"interrupt_cause,omitempty"`
+	// TapeDiverged is set when a resumed job's replayed oracle answers
+	// stopped matching its logged tape: from that interaction on it ran
+	// on the live oracle, so its trajectory does not continue the
+	// previous life's (docs/SERVER.md "Persistence and recovery").
+	TapeDiverged bool `json:"tape_diverged,omitempty"`
 }
 
 // KeyReport is one recovered key in an Outcome.

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,7 +366,9 @@ func TestRebuildIgnoresRetiredOptions(t *testing.T) {
 // ran the job with "parallel": true. Here the crash image's first tape
 // record has one input bit flipped, so the journal abandons the tape at
 // the first query and serves the live oracle. The job must still run
-// to done with a key, and log no tape record after the divergence.
+// to done with a key, log no tape record after the divergence, and
+// say that it diverged: tape_diverged in its outcome and one daemon
+// log line.
 func TestResumeDivergedTape(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	var snapped bool
@@ -405,7 +409,16 @@ func TestResumeDivergedTape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, _ := persistServer(t, dirB, Config{Workers: 1, MaxJobs: 8})
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	srv2, _ := persistServer(t, dirB, Config{Workers: 1, MaxJobs: 8,
+		Logf: func(format string, args ...interface{}) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}})
 	resumed, ok := srv2.store.get(id)
 	if !ok {
 		t.Fatalf("job %s not recovered from the crash image", id)
@@ -418,13 +431,28 @@ func TestResumeDivergedTape(t *testing.T) {
 	if st := resumed.State(); st != StateDone {
 		t.Fatalf("resumed job settled as %s (err %v)", st, resumed.Err())
 	}
-	if out := resumed.Outcome(); out == nil || len(out.Keys) == 0 {
+	out := resumed.Outcome()
+	if out == nil || len(out.Keys) == 0 {
 		t.Fatalf("resumed job outcome = %+v, want a key", out)
+	}
+	if !out.TapeDiverged {
+		t.Error("resumed job's outcome does not report tape_diverged")
 	}
 	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer scancel()
 	if err := srv2.Shutdown(sctx); err != nil {
 		t.Fatal(err)
+	}
+	logMu.Lock()
+	diverged := 0
+	for _, line := range logs {
+		if strings.Contains(line, "job "+id+" diverged from its resume tape") {
+			diverged++
+		}
+	}
+	logMu.Unlock()
+	if diverged != 1 {
+		t.Errorf("daemon logged %d divergence lines for job %s, want 1:\n%s", diverged, id, strings.Join(logs, "\n"))
 	}
 	log, _, after := openTapeRecords(t, walPath)
 	log.Close()

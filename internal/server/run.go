@@ -7,6 +7,7 @@ import (
 
 	"statsat"
 	"statsat/internal/engine"
+	"statsat/internal/oracle"
 )
 
 // execute runs an admitted job to a terminal state. ctx is the job's
@@ -54,11 +55,19 @@ func (j *Job) execute(ctx context.Context) {
 // noise stream skipped to the tape's end — so a resumed attack's
 // trajectory, keys and query counters match an uninterrupted run of
 // the same spec exactly (docs/ARCHITECTURE.md "Checkpoint contract").
-func (j *Job) runAttack(ctx context.Context) (*Outcome, error) {
+// A tape from another trajectory breaks that promise: the journal
+// drops it at the first mismatch, and the Outcome says so.
+func (j *Job) runAttack(ctx context.Context) (outcome *Outcome, err error) {
 	mat, o := j.mat, j.Spec.Options
 	orc := mat.orc
 	if j.tape != nil || j.sinks.tape != nil {
-		orc = statsat.NewJournalOracle(orc, j.tape, j.sinks.tape)
+		journal := oracle.NewJournal(orc, j.tape, j.sinks.tape)
+		orc = journal
+		defer func() {
+			if outcome != nil && journal.Diverged() {
+				outcome.TapeDiverged = true
+			}
+		}()
 	}
 	epsG := o.EpsG
 	if epsG == 0 {

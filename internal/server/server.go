@@ -181,6 +181,9 @@ func (s *Server) worker() {
 		j.execute(j.ctx)
 		j.cancel(nil) // release the job context's resources
 		s.logf("statsatd: job %s %s", j.ID, j.State())
+		if out := j.Outcome(); out != nil && out.TapeDiverged {
+			s.logf("statsatd: job %s diverged from its resume tape and finished on the live oracle", j.ID)
+		}
 	}
 }
 

@@ -17,8 +17,11 @@ import (
 	"time"
 
 	"statsat"
+	"statsat/internal/leakcheck"
 	"statsat/internal/trace"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testServer wires a started Server into an httptest frontend and
 // registers teardown that drains both.

@@ -7,14 +7,26 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"statsat/internal/leakcheck"
 )
 
+func TestMain(m *testing.M) { leakcheck.Main(m) }
+
+// openT opens the log at path and closes it when the test ends, so no
+// writer goroutine outlives its test; Close is safe to call again after
+// a test's own closeT.
 func openT(t *testing.T, path string) (*Log, [][]byte) {
 	t.Helper()
 	l, recs, err := Open(path)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
+	t.Cleanup(func() {
+		if err := l.Close(); err != nil {
+			t.Errorf("Close(%s) at cleanup: %v", path, err)
+		}
+	})
 	return l, recs
 }
 
