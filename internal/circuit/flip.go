@@ -6,53 +6,108 @@ import (
 	"sync"
 )
 
-// NoiseSource is the counted noise stream of a noisy chip: math/rand's
-// seeded generator plus the number of draws taken from it.
-// EvalNoisyBlockInto draws its flip masks straight from it, and a
-// *rand.Rand built on it (rand.New(src)) drives scalar EvalNoisy, so
-// one count covers both. Every Int63/Uint64 call advances the
-// generator by exactly one step, so the count is a complete
-// description of the stream position: a fresh source skipped to a
-// recorded count continues exactly where the recorded one stood
+// NoiseSource is the counted noise stream of a noisy chip: the stream
+// of math/rand's seeded generator, rand.NewSource(seed), plus the
+// number of draws taken from it. EvalNoisyBlockInto draws its flip
+// masks straight from it, and a *rand.Rand built on it (rand.New(src))
+// drives scalar EvalNoisy, so one count covers both. Every Int63/Uint64
+// call advances the stream by exactly one step, so the count is a
+// complete description of the stream position: a fresh source skipped
+// to a recorded count continues exactly where the recorded one stood
 // (checkpoint and resume rely on this).
+//
+// It runs the generator itself. math/rand's source is an additive
+// lagged-Fibonacci generator: its Uint64 adds the register word at its
+// tap to the word at its feed and writes the sum back at the feed, and
+// both indices step down through the 607-word register. So the word at
+// the feed was written 607 outputs ago and the word at the tap 273 ago,
+// and output n is x[n] = x[n−607] + x[n−273] mod 2⁶⁴ for n ≥ 607. vec
+// holds 607 consecutive outputs, x[base] … x[base+606]; the first 607
+// come from a math/rand source seeded to the seed (the seeding is
+// math/rand's own), and refill advances all of them by the recurrence.
+// The draw loop of drawFlipMasks reads vec inline instead of calling
+// through a rand.Source64 interface.
 type NoiseSource struct {
-	src rand.Source64
-	n   uint64
+	vec  [rngLen]uint64
+	next uint   // index in vec of the next draw; rngLen when vec is used up
+	base uint64 // draws taken before vec[0]
 }
 
-// NewNoiseSource returns the counted stream of rand.NewSource(seed).
-// It stays on the 64-bit source path, so a *rand.Rand built on it
-// yields bit for bit the values of rand.New(rand.NewSource(seed)).
+// The lagged-Fibonacci generator of math/rand: x[n] = x[n−rngLen] +
+// x[n−rngTap]. Int63 is Uint64 with the top bit cleared.
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
+)
+
+// seedSources lends math/rand sources to Seed, which only reads the
+// first rngLen outputs of one, so a NoiseSource never keeps a second
+// 607-word register.
+var seedSources = sync.Pool{New: func() any { return rand.NewSource(0).(rand.Source64) }}
+
+// NewNoiseSource returns the counted stream of rand.NewSource(seed). A
+// *rand.Rand built on it yields bit for bit the values of
+// rand.New(rand.NewSource(seed)).
 func NewNoiseSource(seed int64) *NoiseSource {
-	return &NoiseSource{src: rand.NewSource(seed).(rand.Source64)}
+	s := new(NoiseSource)
+	s.Seed(seed)
+	return s
 }
 
-// Int63 implements rand.Source.
-func (s *NoiseSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
+// Seed implements rand.Source: it restarts the stream of
+// rand.NewSource(seed) and resets the draw count.
+func (s *NoiseSource) Seed(seed int64) {
+	src := seedSources.Get().(rand.Source64)
+	src.Seed(seed)
+	for i := range s.vec {
+		s.vec[i] = src.Uint64()
+	}
+	seedSources.Put(src)
+	s.next, s.base = 0, 0
+}
+
+// refill replaces vec's outputs with the next rngLen, in place: new
+// word i adds old word i and output base+rngLen+i−rngTap, which for
+// the first rngTap words is still an old word (vec[i+rngLen−rngTap])
+// and for the rest a new one (vec[i−rngTap]).
+func (s *NoiseSource) refill() {
+	v := &s.vec
+	for i := 0; i < rngTap; i++ {
+		v[i] += v[i+rngLen-rngTap]
+	}
+	for i := rngTap; i < rngLen; i++ {
+		v[i] += v[i-rngTap]
+	}
+	s.next = 0
+	s.base += rngLen
 }
 
 // Uint64 implements rand.Source64.
 func (s *NoiseSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
+	if s.next >= rngLen {
+		s.refill()
+	}
+	x := s.vec[s.next]
+	s.next++
+	return x
 }
 
-// Seed implements rand.Source; it also resets the draw count.
-func (s *NoiseSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
+// Int63 implements rand.Source.
+func (s *NoiseSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 // Draws returns the number of draws taken so far.
-func (s *NoiseSource) Draws() uint64 { return s.n }
+func (s *NoiseSource) Draws() uint64 { return s.base + uint64(s.next) }
 
-// Skip advances the stream by n draws without using them.
+// Skip advances the stream by n draws without using them, a whole
+// refill at a time.
 func (s *NoiseSource) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.Uint64()
+	left := uint64(s.next) + n
+	for left > rngLen {
+		s.refill()
+		left -= rngLen
 	}
+	s.next = uint(left)
 }
 
 // drawFlipMasks fills one flip-mask column per block word: bit l of
@@ -68,10 +123,11 @@ func (s *NoiseSource) Skip(n uint64) {
 // stream of the single-word reference evaluator in batch_test.go,
 // which the parity tests hold it to.
 //
-// Each draw's gap is looked up in tab, the gap table of eps
-// (gapTableFor), and computed by computeGap where the table holds none;
-// with a nil tab every draw is computed. The column adds its draws to
-// src's count once, at its end.
+// Each draw is read straight from src's block of generator outputs,
+// refilled in place when it runs out, and its gap is looked up in tab,
+// the gap table of eps (gapTableFor), and computed by computeGap where
+// the table holds none; with a nil tab every draw is computed. src's
+// position, and so its count, is written back once, at the end.
 func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSource, tab *gapTable) {
 	if eps >= 1 {
 		fill(masks, ^uint64(0))
@@ -82,13 +138,16 @@ func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSourc
 	}
 	limit := int64(nops) * BatchLanes
 	invLog := 1 / math.Log1p(-eps)
-	rng := src.src
+	next := src.next
 	for k := 0; k < words; k++ {
-		var n uint64
 		pos := int64(-1)
 		for {
-			n++
-			x := rng.Int63()
+			if next >= rngLen {
+				src.refill()
+				next = 0
+			}
+			x := int64(src.vec[next] & rngMask)
+			next++
 			g := tab.lookup(x)
 			if g < 0 {
 				if g = computeGap(x, invLog); g < 0 {
@@ -101,8 +160,8 @@ func drawFlipMasks(masks []uint64, nops, words int, eps float64, src *NoiseSourc
 			}
 			masks[int(pos>>6)*words+k] |= 1 << uint(pos&63)
 		}
-		src.n += n
 	}
+	src.next = next
 }
 
 // computeGap returns the geometric gap of the draw x = Int63(), or -1
@@ -118,47 +177,68 @@ func computeGap(x int64, invLog float64) int64 {
 	return flipGap(u, invLog)
 }
 
-// A gapTable is indexed by a draw's top gapBits bits: gapBuckets
-// buckets.
+// A gapTable is indexed by a draw's top gapBits bits: gapBuckets fine
+// buckets, gapFine in each coarse bucket of the draw's top coarseBits
+// bits.
 const (
-	gapBits    = 13
-	gapBuckets = 1 << gapBits
+	gapBits       = 16
+	gapBuckets    = 1 << gapBits
+	coarseBits    = 13
+	coarseBuckets = 1 << coarseBits
+	gapFine       = gapBuckets / coarseBuckets
 )
 
-// gapTable maps bucket b = x>>50 of a draw x = Int63() to the gap
+// gapTable maps fine bucket f = x>>47 of a draw x = Int63() to the gap
 // every draw of the bucket has, or to -1 when the bucket's draws do
-// not provably share one. It is built for one eps by newGapTable and
-// never written afterwards.
+// not provably share one or their gap does not fit an int16. It is
+// built for one eps by newGapTable and never written afterwards.
 //
-// The bucket rule. Bucket b holds x in [b·2⁵⁰, (b+1)·2⁵⁰). Both edges
-// are float64 values (b < 2¹³), and the int-to-float conversion rounds
-// monotonically, so float64(x) lies in [b·2⁵⁰, (b+1)·2⁵⁰]: a draw may
-// round up to the upper edge but never past it. Dividing by 2⁶³ is
-// exact, so u lies in [lo, hi] = [b·2⁻¹³, (b+1)·2⁻¹³]. With invLog < 0,
+// The bucket rule. Take buckets of width 2⁻ᵏ, k = 13 (coarse) or 16
+// (fine): bucket b holds x in [b·2⁶³⁻ᵏ, (b+1)·2⁶³⁻ᵏ). Both edges are
+// float64 values (b < 2ᵏ), and the int-to-float conversion rounds
+// monotonically, so float64(x) lies in [b·2⁶³⁻ᵏ, (b+1)·2⁶³⁻ᵏ]: a draw
+// may round up to the upper edge but never past it. Dividing by 2⁶³ is
+// exact, so u lies in [lo, hi] = [b·2⁻ᵏ, (b+1)·2⁻ᵏ]. With invLog < 0,
 // the exact product y(u) = log(u)·invLog falls as u rises, so
 // y(hi) ≤ y(u) ≤ y(lo). The gap of u (flipGap's, which is exactGap's)
 // truncates the computed ŷ(u) = fl(math.Log(u)·invLog). math.Log is
 // within 1 ulp of log u, at most 2⁻⁵² relative, and the product rounds
 // once, 2⁻⁵³ relative, so ŷ(u) = y(u)·(1+δ) with
-// |δ| ≤ ε = 3·2⁻⁵³ + 2⁻¹⁰⁵. That holds at the edges too, so
+// |δ| ≤ ε = 3·2⁻⁵³ + 2⁻¹⁰⁵.
+//
+// Coarse buckets first. Their edges' logs are math.Log's (edgeLogs),
+// so ŷ's bound holds at the edges too, and
 //
 //	ŷ(hi)·(1−ε)/(1+ε) ≤ ŷ(u) ≤ ŷ(lo)·(1+ε)/(1−ε),
 //
 // bounds within 6.1·2⁻⁵³ (relative) of the edge values. gapMargin =
 // 2⁻⁴⁸ = 32·2⁻⁵³ widens the edge values by more than that plus the
 // widened product's own rounding, 2⁻⁵³. When both widened values
-// truncate to one integer g, every u in the bucket has gap g. Bucket 0
-// (u can be 0) and the last bucket (u can round to 1) are always -1,
-// so the table never answers a draw that computeGap redraws. A bucket
-// spans log((b+1)/b)·|invLog| > 2⁻¹³·|invLog| in y, so when
-// |invLog| ≥ 2¹³ (eps below about 1.2e-4) no bucket can hold one gap
-// and gapTableFor returns nil instead. Otherwise y < 13·ln2·2¹³ < 2¹⁷
-// outside bucket 0, so a gap fits an int32.
-type gapTable [gapBuckets]int32
+// truncate to one integer g, every u in the bucket has gap g, and its
+// gapFine fine entries all hold g.
+//
+// A coarse bucket whose widened values straddle an integer is split.
+// The logs of its inner fine edges come from logApprox, flipGap's
+// table-and-cubic log, within 4e-12 of log u (flipGap's comment); its
+// own two edges keep math.Log's. Each edge's log is moved outward by
+// fineMargin = 2⁻³², the band flipGap trusts: over fifty times that
+// error, and enough to cover ŷ's relative error (3·2⁻⁵³·|log u| <
+// 4e-15 for u ≥ 2⁻¹⁶) and the widened products' roundings too. A fine
+// bucket holds g when (log(hi)+fineMargin)·invLog and
+// (log(lo)−fineMargin)·invLog both truncate to g.
+//
+// Coarse bucket 0 (u can be 0) and the last coarse bucket (u can round
+// to 1) are -1 in all their fine entries, so the table never answers a
+// draw that computeGap redraws, and neither is a gap past
+// math.MaxInt16. A coarse bucket spans log((b+1)/b)·|invLog| >
+// 2⁻¹³·|invLog| in y, so when |invLog| ≥ 2¹³ (eps below about 1.2e-4)
+// no coarse bucket can hold one gap and gapTableFor returns nil
+// instead.
+type gapTable [gapBuckets]int16
 
 // lookup returns the gap t holds for the draw x = Int63(), or -1 when
-// x's bucket holds none or t is nil; computeGap(x, invLog) is then the
-// draw's gap.
+// x's fine bucket holds none or t is nil; computeGap(x, invLog) is
+// then the draw's gap.
 func (t *gapTable) lookup(x int64) int64 {
 	if t == nil {
 		return -1
@@ -166,40 +246,69 @@ func (t *gapTable) lookup(x int64) int64 {
 	return int64(t[x>>(63-gapBits)&(gapBuckets-1)])
 }
 
-// gapMargin widens each bucket's computed gap interval; see gapTable.
-const gapMargin = 0x1p-48
+// gapMargin widens each coarse bucket's computed gap interval, and
+// fineMargin each fine edge's log; see gapTable.
+const (
+	gapMargin  = 0x1p-48
+	fineMargin = 0x1p-32
+)
 
-// edgeLogs holds math.Log(b·2⁻¹³) at index b, for every bucket edge
-// b = 1…8191. It does not depend on eps, so it is evaluated once per
-// process, by the first table build, and a table costs one product
-// per edge.
-var edgeLogs = sync.OnceValue(func() *[gapBuckets]float64 {
-	var l [gapBuckets]float64
-	for b := 1; b < gapBuckets; b++ {
+// edgeLogs holds math.Log(b·2⁻¹³) at index b, for every coarse bucket
+// edge b = 1…8191. It does not depend on eps, so it is evaluated once
+// per process, by the first table build, and a table costs one product
+// per coarse edge plus logApprox at the inner fine edges of the coarse
+// buckets it splits.
+var edgeLogs = sync.OnceValue(func() *[coarseBuckets]float64 {
+	var l [coarseBuckets]float64
+	for b := 1; b < coarseBuckets; b++ {
 		l[b] = math.Log(float64(b) * 0x1p-13)
 	}
 	return &l
 })
 
 // newGapTable builds the gap table of invLog = 1/log(1-eps). Each
-// bucket edge is the lower edge of the next bucket, so its product is
-// formed once.
+// coarse edge is the lower edge of the next coarse bucket, so its
+// product is formed once.
 func newGapTable(invLog float64) *gapTable {
 	logs := edgeLogs()
 	t := new(gapTable)
-	t[0], t[gapBuckets-1] = -1, -1
-	yHi := logs[1] * invLog // ŷ at bucket 1's lower edge
-	for b := 1; b < gapBuckets-1; b++ {
+	fillGaps((*[gapFine]int16)(t[:]), -1)
+	fillGaps((*[gapFine]int16)(t[gapBuckets-gapFine:]), -1)
+	yHi := logs[1] * invLog // ŷ at coarse bucket 1's lower edge
+	for b := 1; b < coarseBuckets-1; b++ {
 		yLo := yHi // ŷ at the lower edge, the larger of the two
 		yHi = logs[b+1] * invLog
-		g := int64(yHi * (1 - gapMargin))
-		if g == int64(yLo*(1+gapMargin)) {
-			t[b] = int32(g)
-		} else {
-			t[b] = -1
+		row := (*[gapFine]int16)(t[b*gapFine:])
+		if g := int64(yHi * (1 - gapMargin)); g == int64(yLo*(1+gapMargin)) {
+			fillGaps(row, g)
+			continue
+		}
+		lLo := logs[b]
+		for f := range row {
+			lHi := logs[b+1]
+			if f < gapFine-1 {
+				lHi = logApprox(float64(b*gapFine+f+1) * 0x1p-16)
+			}
+			g := int64((lHi + fineMargin) * invLog)
+			if g != int64((lLo-fineMargin)*invLog) || g > math.MaxInt16 {
+				g = -1
+			}
+			row[f] = int16(g)
+			lLo = lHi
 		}
 	}
 	return t
+}
+
+// fillGaps sets every fine entry of a coarse bucket to g, or to -1
+// when g does not fit an int16.
+func fillGaps(row *[gapFine]int16, g int64) {
+	if g > math.MaxInt16 {
+		g = -1
+	}
+	for f := range row {
+		row[f] = int16(g)
+	}
 }
 
 // gapCache shares the table of the eps last asked for across every
@@ -243,8 +352,8 @@ const maxFlipGap = 1 << 62
 // int64(math.Log(u)*invLog) saturated at maxFlipGap, and flipGap
 // returns exactly that value, only cheaper.
 //
-// It evaluates log u from a fixed 256-entry table instead of calling
-// math.Log. With u = 2^e·m and m in [1, 2), the top eight fraction
+// It evaluates log u with logApprox, from a fixed 256-entry table
+// instead of calling math.Log. With u = 2^e·m and m in [1, 2), the top eight fraction
 // bits of m pick c = 1 + (j+½)/256, so r = (m-c)/c has |r| < 2⁻⁹, and
 //
 //	log u ≈ e·ln2 + log c + r - r²/2 + r³/3.
@@ -264,10 +373,7 @@ const maxFlipGap = 1 << 62
 // is rare: a draw lands in the band with probability about
 // 2·2⁻³²·|invLog|, about 5e-7 at eps = 1e-3 and 5e-8 at eps = 1e-2.
 func flipGap(u, invLog float64) int64 {
-	b := math.Float64bits(u)
-	t := &logTab[b>>44&0xff]
-	r := (math.Float64frombits(b&(1<<52-1)|1023<<52) - t.c) * t.inv
-	y := (float64(int64(b>>52)-1023)*math.Ln2 + t.log + r + r*r*(-1.0/2+r*(1.0/3))) * invLog
+	y := logApprox(u) * invLog
 	if y >= 0 && y < 1<<52 {
 		g := int64(y)
 		band := -invLog * 0x1p-32
@@ -276,6 +382,16 @@ func flipGap(u, invLog float64) int64 {
 		}
 	}
 	return exactGap(u, invLog)
+}
+
+// logApprox is flipGap's log u, for u in (0, 1): within 4e-12 of it
+// (flipGap's comment has the bound). newGapTable takes it at the fine
+// edges it needs.
+func logApprox(u float64) float64 {
+	b := math.Float64bits(u)
+	t := &logTab[b>>44&0xff]
+	r := (math.Float64frombits(b&(1<<52-1)|1023<<52) - t.c) * t.inv
+	return float64(int64(b>>52)-1023)*math.Ln2 + t.log + r + r*r*(-1.0/2+r*(1.0/3))
 }
 
 // exactGap is the definition flipGap reproduces: the truncated

@@ -18,9 +18,9 @@ var flipGapEps = []float64{1e-9, 1e-6, 1e-4, 1e-3, 0.003, 0.01, 0.0125, 0.05, 0.
 // smallest and largest draws. It holds the gap drawFlipMasks takes
 // from a draw (usedGap: the eps's gap table, or computeGap where the
 // table holds none) to the same definition: the first two and last
-// two draws of every gap-table bucket and a random one inside it, the
-// draws at and next to every float it checks around a crossing, and
-// random draws.
+// two draws of each of the 65,536 fine buckets of the gap table and a
+// random one inside it, the draws at and next to every float it checks
+// around a crossing, and random draws.
 func TestFlipGapExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, eps := range flipGapEps {
@@ -133,13 +133,15 @@ func FuzzFlipGap(f *testing.F) {
 
 // TestGapTableMargin checks that every gap a table holds is the
 // truncation of anything a math.Log within 1 ulp of log u could give
-// anywhere in its bucket: it widens the bucket's edge products by
+// anywhere in its fine bucket: it widens the bucket's edge products by
 // (1+ε)/(1−ε) with ε = 3·2⁻⁵³ + 2⁻¹⁰⁵, the bound the gapTable comment
 // derives, and asks both to truncate to the entry. Besides the eps
-// grid, it builds tables whose invLog puts a bucket edge a few ulps
-// above an integer product, where a table that trusted the computed
-// edge values would hold a gap the error bound does not guarantee;
-// the draws at every edge must still get refGap's gap.
+// grid, it builds tables whose invLog puts a coarse edge, or a fine
+// edge inside a coarse bucket, a few ulps above an integer product,
+// where a table that trusted the computed edge values would hold a gap
+// the error bound does not guarantee; the draws at every fine edge
+// must still get refGap's gap. Coarse buckets 0 and 8191 must hold no
+// gap in any of their fine entries.
 func TestGapTableMargin(t *testing.T) {
 	const ulpErr = 3*0x1p-53 + 0x1p-105
 	var invLogs []float64
@@ -147,8 +149,8 @@ func TestGapTableMargin(t *testing.T) {
 		invLogs = append(invLogs, 1/math.Log1p(-e))
 	}
 	crafted := 0
-	for _, b := range []int{2, 3, 100, 1000, 4096, 4097, 8000, 8190} {
-		logEdge := math.Log(float64(b) * 0x1p-13)
+	craft := func(edge float64) {
+		logEdge := math.Log(edge)
 		for _, n := range []float64{1, 2, 7, 50} {
 			invLog := n / logEdge
 			for k := 0; k < 8 && logEdge*invLog < n; k++ {
@@ -160,7 +162,13 @@ func TestGapTableMargin(t *testing.T) {
 			}
 		}
 	}
-	if crafted < 16 {
+	for _, b := range []int{2, 3, 100, 1000, 4096, 4097, 8000, 8190} {
+		craft(float64(b) * 0x1p-13)
+	}
+	for _, f := range []int{17, 803, 8003, 32773, 32774, 64001, 65517} {
+		craft(float64(f) * 0x1p-16)
+	}
+	if crafted < 32 {
 		t.Fatalf("only %d invLog values put a bucket edge just above an integer", crafted)
 	}
 	for _, invLog := range invLogs {
@@ -168,21 +176,27 @@ func TestGapTableMargin(t *testing.T) {
 			continue
 		}
 		tab := newGapTable(invLog)
-		for b := 1; b < gapBuckets-1; b++ {
-			g := int64(tab[b])
+		for f := 0; f < gapBuckets; f++ {
+			g := int64(tab[f])
+			if f < gapFine || f >= gapBuckets-gapFine {
+				if g != -1 {
+					t.Fatalf("invLog=%v: fine bucket %d holds gap %d, want -1", invLog, f, g)
+				}
+				continue
+			}
 			if g < 0 {
 				continue
 			}
-			yLo := math.Log(float64(b)*0x1p-13) * invLog
-			yHi := math.Log(float64(b+1)*0x1p-13) * invLog
+			yLo := math.Log(float64(f)*0x1p-16) * invLog
+			yHi := math.Log(float64(f+1)*0x1p-16) * invLog
 			lo := int64(yHi * (1 - ulpErr) / (1 + ulpErr))
 			hi := int64(yLo * (1 + ulpErr) / (1 - ulpErr))
 			if lo != g || hi != g {
-				t.Fatalf("invLog=%v: bucket %d holds gap %d, but a 1-ulp math.Log allows %d to %d", invLog, b, g, lo, hi)
+				t.Fatalf("invLog=%v: fine bucket %d holds gap %d, but a 1-ulp math.Log allows %d to %d", invLog, f, g, lo, hi)
 			}
 		}
-		for b := int64(1); b < gapBuckets; b++ {
-			for _, x := range []int64{b<<(63-gapBits) - 1, b << (63 - gapBits)} {
+		for f := int64(1); f < gapBuckets; f++ {
+			for _, x := range []int64{f<<(63-gapBits) - 1, f << (63 - gapBits)} {
 				if got, want := usedGap(tab, x, invLog), drawRefGap(x, invLog); got != want {
 					t.Fatalf("invLog=%v draw %#016x: gap %d, want %d", invLog, x, got, want)
 				}

@@ -967,6 +967,19 @@ func EstimateGateError(ctx context.Context, locked *circuit.Circuit, orc oracle.
 
 	best, bestFrac := 1e-4, -1.0
 	simU := make([]float64, locked.NumPOs())
+	// Probe j's simulation under random key ki draws the stream of seed
+	// opts.Seed + 131·ki + j at every grid eps. Each stream is seeded
+	// once, and one simulated chip per key, built once, is reset to it.
+	starts := make([]*circuit.NoiseSource, len(inputs)*len(randKeys))
+	for j := range inputs {
+		for ki := range randKeys {
+			starts[j*len(randKeys)+ki] = circuit.NewNoiseSource(opts.Seed + int64(ki)*131 + int64(j))
+		}
+	}
+	sims := make([]*oracle.Probabilistic, len(randKeys))
+	for ki, k := range randKeys {
+		sims[ki] = oracle.NewProbabilistic(locked, k, 0, 0)
+	}
 	for eps := 1e-4; eps <= 0.25; eps *= opts.Step {
 		if ctx.Err() != nil {
 			return best
@@ -977,8 +990,8 @@ func EstimateGateError(ctx context.Context, locked *circuit.Circuit, orc oracle.
 			for i := range simU {
 				simU[i] = 0
 			}
-			for ki, k := range randKeys {
-				sim := oracle.NewProbabilistic(locked, k, eps, opts.Seed+int64(ki)*131+int64(j))
+			for ki, sim := range sims {
+				sim.Reset(eps, starts[j*len(randKeys)+ki])
 				probsBuf = oracle.SignalProbsInto(ctx, sim, x, opts.Ns, probsBuf)
 				u := oracle.UncertaintiesInto(probsBuf, probsBuf)
 				for i := range u {

@@ -129,6 +129,41 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestJournalResumeAcrossRefills resumes a tape at every record of a
+// run long enough that its noise stream crosses several 607-draw
+// refills of the generator's block. Each resume skips a fresh chip to
+// the record's draw count, from inside a block or across one or more,
+// and must then answer and record exactly what the uninterrupted run
+// did.
+func TestJournalResumeAcrossRefills(t *testing.T) {
+	_, _, fresh := journalFixture(t)
+	const steps = 150
+	nin := fresh().NumInputs()
+	var tape []TapeRecord
+	ctrl := NewJournal(fresh(), nil, func(r TapeRecord) { tape = append(tape, r) })
+	want := drive(t, ctrl, nin, steps)
+	blocks := map[uint64]bool{}
+	for _, r := range tape {
+		blocks[r.Draws/607] = true
+	}
+	if len(blocks) < 5 {
+		t.Fatalf("the tape's draw counts span %d refill blocks, want at least 5", len(blocks))
+	}
+	for cut := 1; cut <= len(tape); cut++ {
+		var tail []TapeRecord
+		res := NewJournal(fresh(), tape[:cut], func(r TapeRecord) { tail = append(tail, r) })
+		sameAnswers(t, want, drive(t, res, nin, steps))
+		if len(tail) != len(tape)-cut {
+			t.Fatalf("cut %d: recorded %d records after the tape, want %d", cut, len(tail), len(tape)-cut)
+		}
+		for i, r := range tail {
+			if full := tape[cut+i]; r.Draws != full.Draws || r.Y != full.Y || fmt.Sprint(r.W) != fmt.Sprint(full.W) {
+				t.Fatalf("cut %d (resumed at draw %d): record %d differs from the uninterrupted run", cut, tape[cut-1].Draws, cut+i)
+			}
+		}
+	}
+}
+
 // withBatchCounts re-encodes tape the way older versions wrote it —
 // each record carrying "bq", the cumulative count of block-drawn
 // queries — and decodes it back, as the server's WAL replay does.

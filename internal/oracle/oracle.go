@@ -140,6 +140,23 @@ func NewProbabilistic(c *circuit.Circuit, key []bool, eps float64, seed int64) *
 	}
 }
 
+// Reset returns o to a fresh chip's state at gate error eps, keeping
+// its buffers and block width: the query count is zero, and the noise
+// stream is a copy of src's, from src's current position, draw count
+// included. With src fresh from circuit.NewNoiseSource(seed), o then
+// draws what NewProbabilistic(c, key, eps, seed) would. src does not
+// advance, so a caller that samples the same few streams many times,
+// as the §V-E estimator does at every grid eps, seeds each once and
+// resets one chip to it each time.
+func (o *Probabilistic) Reset(eps float64, src *circuit.NoiseSource) {
+	if eps < 0 || eps > 1 {
+		panic(fmt.Sprintf("oracle: gate error probability %v out of [0,1]", eps))
+	}
+	o.eps = eps
+	*o.src = *src
+	o.queries = 0
+}
+
 // NoiseDraws implements NoiseCounter: the number of noise-source draws
 // consumed so far (the oracle's exact position in its noise stream).
 func (o *Probabilistic) NoiseDraws() uint64 { return o.src.Draws() }

@@ -115,6 +115,46 @@ func TestProbabilisticSeededReproducible(t *testing.T) {
 	}
 }
 
+// TestProbabilisticReset checks that a used chip reset to a fresh
+// source of a seed answers, block and scalar queries alike, what a
+// new chip of that seed and eps answers, counting queries and draws
+// from zero, and that the source it was reset to does not advance.
+func TestProbabilisticReset(t *testing.T) {
+	l := lockedC17(t)
+	x := []bool{false, true, true, false, true}
+	used := NewProbabilistic(l.Circuit, l.Key, 0.2, 5)
+	SignalProbs(context.Background(), used, x, 1000)
+	for _, eps := range []float64{0.01, 0.05, 0.3} {
+		start := circuit.NewNoiseSource(77)
+		used.Reset(eps, start)
+		fresh := NewProbabilistic(l.Circuit, l.Key, eps, 77)
+		if used.Queries() != 0 || used.NoiseDraws() != 0 || used.Eps() != eps {
+			t.Fatalf("eps=%v: reset chip has %d queries, %d draws, eps %v", eps, used.Queries(), used.NoiseDraws(), used.Eps())
+		}
+		for i := 0; i < 40; i++ {
+			a, b := used.QueryBlock(x, 3), fresh.QueryBlock(x, 3)
+			for j := range b {
+				if a[j] != b[j] {
+					t.Fatalf("eps=%v: block %d word %d is %016x, want %016x", eps, i, j, a[j], b[j])
+				}
+			}
+			ya, yb := used.Query(x), fresh.Query(x)
+			for j := range yb {
+				if ya[j] != yb[j] {
+					t.Fatalf("eps=%v: query %d output %d differs", eps, i, j)
+				}
+			}
+		}
+		if used.NoiseDraws() != fresh.NoiseDraws() || used.Queries() != fresh.Queries() {
+			t.Fatalf("eps=%v: reset chip at %d draws, %d queries; fresh chip at %d, %d",
+				eps, used.NoiseDraws(), used.Queries(), fresh.NoiseDraws(), fresh.Queries())
+		}
+		if start.Draws() != 0 {
+			t.Fatalf("eps=%v: the source reset from advanced to %d draws", eps, start.Draws())
+		}
+	}
+}
+
 func TestSignalProbsConvergeToBER(t *testing.T) {
 	// Single BUF gate circuit: P(output wrong) = eps exactly.
 	c := circuit.New("buf")

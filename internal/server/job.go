@@ -39,9 +39,16 @@ type Job struct {
 	// Spec is the admitted request body.
 	Spec *Spec
 
-	mat    *materialized
-	stream *trace.Stream
-	prog   *engine.Progress
+	// attack and circuit describe the job in its Status. mat holds what
+	// only a run reads: the netlist, the true key and the chip. The
+	// store retains up to MaxJobs settled jobs for their Status and
+	// trace, so a job drops mat as it settles, under j.mu (or before it
+	// is shared) and after its run, if any, has returned.
+	attack  string
+	circuit CircuitInfo
+	mat     *materialized
+	stream  *trace.Stream
+	prog    *engine.Progress
 
 	// ctx is the job's run context, derived from the server's base
 	// context at admission; cancel interrupts it with a cause; done
@@ -54,7 +61,8 @@ type Job struct {
 	// value is the in-memory path. tape is the recorded oracle
 	// interaction prefix a recovered job replays before going live
 	// (nil for fresh jobs; see docs/SERVER.md "Persistence and
-	// recovery").
+	// recovery"). It is set before the job is shared and never written
+	// after, so it is read without j.mu.
 	sinks sinks
 	tape  []statsat.TapeRecord
 
@@ -151,6 +159,8 @@ type Status struct {
 func newJob(sp *Spec, mat *materialized, traceBuf int) *Job {
 	return &Job{
 		Spec:    sp,
+		attack:  mat.attack,
+		circuit: mat.circuit,
 		mat:     mat,
 		stream:  trace.NewStream(traceBuf),
 		prog:    &engine.Progress{},
@@ -167,8 +177,8 @@ func (j *Job) Status() Status {
 	st := Status{
 		ID:            j.ID,
 		State:         j.state,
-		Attack:        j.mat.attack,
-		Circuit:       j.mat.circuit,
+		Attack:        j.attack,
+		Circuit:       j.circuit,
 		Created:       j.created.Format(time.RFC3339Nano),
 		TraceBuffered: j.stream.Len(),
 		TraceDropped:  j.stream.Dropped(),
@@ -249,6 +259,7 @@ func (j *Job) finish(state State, out *Outcome, err error) {
 	j.outcome = out
 	j.err = err
 	j.finished = time.Now()
+	j.mat = nil
 	j.mu.Unlock()
 	j.settled(state)
 }
@@ -280,6 +291,7 @@ func (j *Job) Cancel(cause error) {
 		j.state = StateCancelled
 		j.err = cause
 		j.finished = time.Now()
+		j.mat = nil
 	}
 	j.mu.Unlock()
 	if queued {

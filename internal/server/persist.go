@@ -268,6 +268,7 @@ func (h *jobHistory) rebuild(traceBuf int) (*Job, error) {
 		if h.ended > 0 {
 			j.finished = time.Unix(0, h.ended)
 		}
+		j.mat = nil
 		j.stream.Close()
 		close(j.done)
 		return j, nil

@@ -7,7 +7,6 @@ import (
 
 	"statsat"
 	"statsat/internal/engine"
-	"statsat/internal/oracle"
 )
 
 // execute runs an admitted job to a terminal state. ctx is the job's
@@ -61,7 +60,7 @@ func (j *Job) runAttack(ctx context.Context) (outcome *Outcome, err error) {
 	mat, o := j.mat, j.Spec.Options
 	orc := mat.orc
 	if j.tape != nil || j.sinks.tape != nil {
-		journal := oracle.NewJournal(orc, j.tape, j.sinks.tape)
+		journal := statsat.NewJournalOracle(orc, j.tape, j.sinks.tape)
 		orc = journal
 		defer func() {
 			if outcome != nil && journal.Diverged() {

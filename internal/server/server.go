@@ -157,7 +157,7 @@ func (s *Server) Start(ctx context.Context) {
 	for _, j := range resume {
 		if s.enqueue(j) == nil {
 			s.logf("statsatd: job %s recovered (%s on %s, %d taped interactions)",
-				j.ID, j.mat.attack, j.mat.circuit.Name, len(j.tape))
+				j.ID, j.attack, j.circuit.Name, len(j.tape))
 		} else {
 			j.finish(StateFailed, nil, errors.New("server: queue full at recovery"))
 			j.cancel(nil)
@@ -176,7 +176,7 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.logf("statsatd: job %s starting (%s on %s)", j.ID, j.mat.attack, j.mat.circuit.Name)
+		s.logf("statsatd: job %s starting (%s on %s)", j.ID, j.attack, j.circuit.Name)
 		s.startSpill(j)
 		j.execute(j.ctx)
 		j.cancel(nil) // release the job context's resources

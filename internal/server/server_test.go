@@ -549,6 +549,62 @@ func TestCancelQueuedJob(t *testing.T) {
 	bresp.Body.Close()
 }
 
+// TestSettledJobReleasesChip pins what a settled job keeps. On each
+// path that settles a job (a run that finishes, a cancellation while
+// queued, and recovery of a terminal job from the log) the job must
+// drop its materialized netlist, key and chip, and its Status must
+// still name its attack and circuit.
+func TestSettledJobReleasesChip(t *testing.T) {
+	wantCircuit := func(sp Spec) CircuitInfo {
+		t.Helper()
+		mat, err := sp.materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mat.circuit
+	}
+	released := func(path string, j *Job, attack string, circ CircuitInfo, state State) {
+		t.Helper()
+		<-j.Done()
+		j.mu.Lock()
+		mat := j.mat
+		j.mu.Unlock()
+		if mat != nil {
+			t.Errorf("%s: settled job keeps its materialized netlist, key and chip", path)
+		}
+		st := j.Status()
+		if st.State != state || st.Attack != attack || st.Circuit != circ {
+			t.Errorf("%s: status %s %s %+v, want %s %s %+v", path, st.State, st.Attack, st.Circuit, state, attack, circ)
+		}
+	}
+
+	srv, hts := testServer(t, Config{Workers: 1, MaxJobs: 8})
+	done := waitTerminal(t, srv, submit(t, hts.URL, quickSpec("sat")))
+	released("finished", done, "sat", wantCircuit(quickSpec("sat")), StateDone)
+	if st := getStatus(t, hts.URL, done.ID); st.Outcome == nil || len(st.Outcome.Keys) != 1 || !st.Outcome.Keys[0].Correct {
+		t.Errorf("finished job's status lost its outcome: %+v", st.Outcome)
+	}
+
+	blocker := submit(t, hts.URL, slowSpec())
+	queued, _ := srv.store.get(submit(t, hts.URL, slowSpec()))
+	queued.Cancel(errors.New("test cancel"))
+	released("cancelled while queued", queued, "statsat", wantCircuit(slowSpec()), StateCancelled)
+	b, _ := srv.store.get(blocker)
+	b.Cancel(errors.New("test teardown"))
+	<-b.Done()
+
+	spec, err := json.Marshal(quickSpec("psat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &jobHistory{id: "j9", spec: spec, queued: true, state: StateDone, outcome: &Outcome{Iterations: 3}}
+	j, err := h.rebuild(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released("recovered terminal", j, "psat", wantCircuit(quickSpec("psat")), StateDone)
+}
+
 func TestStoreEvictionOverHTTP(t *testing.T) {
 	srv, hts := testServer(t, Config{Workers: 2, MaxJobs: 2})
 	a := submit(t, hts.URL, quickSpec("sat"))

@@ -178,11 +178,17 @@ func NewNoisyOracle(c *Circuit, key []bool, eps float64, seed int64) Oracle {
 // docs/SERVER.md "Persistence and recovery").
 type TapeRecord = oracle.TapeRecord
 
+// Journal is an oracle with replay-then-record semantics, built by
+// NewJournalOracle. Its Diverged method reports whether a replayed
+// interaction stopped matching the tape, after which it served the
+// live oracle.
+type Journal = oracle.Journal
+
 // NewJournalOracle wraps a freshly built oracle with replay-then-record
 // semantics: the recorded tape prefix is served back instead of fresh
 // silicon queries (reproducing an interrupted trajectory exactly), new
 // interactions stream to sink. Either tape or sink may be empty/nil.
-func NewJournalOracle(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) Oracle {
+func NewJournalOracle(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) *Journal {
 	return oracle.NewJournal(inner, tape, sink)
 }
 

@@ -129,6 +129,36 @@ func TestFacadeEstimator(t *testing.T) {
 	}
 }
 
+// TestEstimateGateErrorPinned pins the §V-E estimate on twelve chips
+// to the values the estimator gave when it built a fresh simulated
+// chip for every probe and key. Its chips are now reset to streams
+// seeded once, and every stream, so every estimate, must be the same.
+func TestEstimateGateErrorPinned(t *testing.T) {
+	want := map[[2]float64]float64{ // {lock seed, chip eps}: estimate
+		{1, 0.01}: 0.006938893903907228, {1, 0.03}: 0.026469779601696886,
+		{2, 0.01}: 0.005551115123125783, {2, 0.03}: 0.026469779601696886,
+		{3, 0.01}: 0.004440892098500626, {3, 0.03}: 0.02117582368135751,
+		{4, 0.01}: 0.006938893903907228, {4, 0.03}: 0.026469779601696886,
+		{5, 0.01}: 0.005551115123125783, {5, 0.03}: 0.02117582368135751,
+		{6, 0.01}: 0.005551115123125783, {6, 0.03}: 0.026469779601696886,
+	}
+	b, _ := statsat.BenchmarkByName("c3540")
+	orig := b.BuildScaled(8)
+	for seed := int64(1); seed <= 6; seed++ {
+		l, err := statsat.LockRLL(orig, 10, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eps := range []float64{0.01, 0.03} {
+			orc := statsat.NewNoisyOracle(l.Circuit, l.Key, eps, seed*7)
+			got := statsat.EstimateGateError(l.Circuit, orc, statsat.EstimateOptions{Seed: seed, NProbe: 8, NKeys: 3})
+			if w := want[[2]float64{float64(seed), eps}]; got != w {
+				t.Errorf("lock seed %d, eps %v: estimate %v, want %v", seed, eps, got, w)
+			}
+		}
+	}
+}
+
 func TestFacadeVerilogAndSimplify(t *testing.T) {
 	orig := statsat.RandomCircuit("v", 8, 60, 5, 9)
 	text := statsat.FormatVerilog(orig)
@@ -208,5 +238,43 @@ func TestFacadeCircuitBuilding(t *testing.T) {
 	}
 	if statsat.SignalProbs(statsat.NewOracle(c, nil), []bool{true, true}, 5)[0] != 0 {
 		t.Error("signal prob of constant-0 output should be 0")
+	}
+}
+
+// TestFacadeJournalDiverged resumes a recorded noisy chip through the
+// facade twice: from its own tape, which replays to the end without
+// diverging, and from a copy whose first record asks for another
+// input, which the journal must report through Diverged.
+func TestFacadeJournalDiverged(t *testing.T) {
+	locked, err := statsat.LockRLL(statsat.C17(), 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() statsat.Oracle { return statsat.NewNoisyOracle(locked.Circuit, locked.Key, 0.05, 3) }
+	x := make([]bool, locked.Circuit.NumPIs())
+	run := func(o statsat.Oracle) {
+		for i := 0; i < 4; i++ {
+			x[0] = i%2 == 1
+			statsat.SignalProbs(o, x, 100)
+		}
+	}
+	var tape []statsat.TapeRecord
+	run(statsat.NewJournalOracle(fresh(), nil, func(r statsat.TapeRecord) { tape = append(tape, r) }))
+	if len(tape) == 0 {
+		t.Fatal("the recording journal taped nothing")
+	}
+	same := statsat.NewJournalOracle(fresh(), tape, nil)
+	run(same)
+	if same.Diverged() {
+		t.Error("a journal replaying its own tape reports divergence")
+	}
+	bad := append([]statsat.TapeRecord(nil), tape...)
+	flipped := []byte(bad[0].X)
+	flipped[0] ^= '0' ^ '1'
+	bad[0].X = string(flipped)
+	j := statsat.NewJournalOracle(fresh(), bad, nil)
+	run(j)
+	if !j.Diverged() {
+		t.Error("a journal whose tape asks for another input does not report divergence")
 	}
 }
