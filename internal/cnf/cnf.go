@@ -551,7 +551,8 @@ type KeySolver struct {
 	C    *circuit.Circuit
 	Keys []sat.Lit
 
-	scratch *Scratch // lazily created; not carried across Clone
+	scratch  *Scratch  // lazily created; not carried across Clone
+	blockBuf []sat.Lit // EnumerateKeys' blocking-clause scratch; the solver copies every clause
 }
 
 // NewKeySolver builds an empty key-constraint solver for c. It
@@ -582,34 +583,44 @@ func (k *KeySolver) AddDIPCopy(x []bool) ([]Wire, error) {
 func (k *KeySolver) Key() []bool { return modelOf(k.S, k.Keys) }
 
 // EnumerateKeys returns up to max distinct keys satisfying the current
-// constraints. Enumeration uses a throwaway activation literal so the
-// blocking clauses are retired afterwards and do not constrain future
-// queries. Cancelling ctx stops the enumeration early; the keys found
-// so far are returned.
-func (k *KeySolver) EnumerateKeys(ctx context.Context, max int) [][]bool {
+// constraints, none of them in known. StatSAT's §IV-C candidates come
+// from a pool of keys that still satisfy every recorded DIP; it passes
+// the pool as known and asks here only for the shortfall. Every key,
+// known or found, is blocked under a throwaway activation literal, so
+// the blocking clauses are retired afterwards and do not constrain
+// future queries. Cancelling ctx stops the enumeration early; the keys
+// found so far are returned.
+func (k *KeySolver) EnumerateKeys(ctx context.Context, max int, known [][]bool) [][]bool {
 	if max <= 0 {
 		return nil
 	}
 	act := FreshLit(k.S)
+	for _, key := range known {
+		k.block(act, key)
+	}
 	var keys [][]bool
 	for len(keys) < max && k.S.SolveCtx(ctx, act) == sat.Sat {
 		key := k.Key()
 		keys = append(keys, key)
-		// Block this key while act holds.
-		block := make([]sat.Lit, 0, len(k.Keys)+1)
-		block = append(block, act.Not())
-		for i, l := range k.Keys {
-			if key[i] {
-				block = append(block, l.Not())
-			} else {
-				block = append(block, l)
-			}
-		}
-		k.S.AddClause(block...)
+		k.block(act, key)
 	}
 	// Retire the blocking clauses permanently.
 	k.S.AddClause(act.Not())
 	return keys
+}
+
+// block excludes key while act holds.
+func (k *KeySolver) block(act sat.Lit, key []bool) {
+	c := append(k.blockBuf[:0], act.Not())
+	for i, l := range k.Keys {
+		if key[i] {
+			c = append(c, l.Not())
+		} else {
+			c = append(c, l)
+		}
+	}
+	k.S.AddClause(c...)
+	k.blockBuf = c[:0]
 }
 
 // Clone deep-copies the key solver (instance duplication).

@@ -385,7 +385,7 @@ func TestMiterFullAttackLoop(t *testing.T) {
 func TestKeySolverEnumerateKeys(t *testing.T) {
 	c, _ := xorLock(t)
 	ks := NewKeySolver(c)
-	keys := ks.EnumerateKeys(context.Background(), 10)
+	keys := ks.EnumerateKeys(context.Background(), 10, nil)
 	if len(keys) != 4 {
 		t.Fatalf("unconstrained 2-bit keyspace: got %d keys, want 4", len(keys))
 	}
@@ -402,15 +402,38 @@ func TestKeySolverEnumerateKeys(t *testing.T) {
 		t.Error("key solver unusable after enumeration")
 	}
 	// Second enumeration still sees all keys (blocking clauses retired).
-	if again := ks.EnumerateKeys(context.Background(), 10); len(again) != 4 {
+	if again := ks.EnumerateKeys(context.Background(), 10, nil); len(again) != 4 {
 		t.Errorf("second enumeration found %d keys, want 4", len(again))
+	}
+}
+
+// TestKeySolverEnumerateSkipsKnown: keys passed as known never come
+// back, and they stay blocked only for that call.
+func TestKeySolverEnumerateSkipsKnown(t *testing.T) {
+	c, _ := xorLock(t)
+	ks := NewKeySolver(c)
+	known := [][]bool{{false, true}, {true, true}}
+	keys := ks.EnumerateKeys(context.Background(), 10, known)
+	if len(keys) != 2 {
+		t.Fatalf("2-bit keyspace minus 2 known keys: got %d keys, want 2", len(keys))
+	}
+	for _, k := range keys {
+		if k[1] {
+			t.Errorf("known key %v enumerated again", k)
+		}
+	}
+	if again := ks.EnumerateKeys(context.Background(), 10, nil); len(again) != 4 {
+		t.Errorf("enumeration after a known-key call found %d keys, want 4", len(again))
+	}
+	if keys := ks.EnumerateKeys(context.Background(), 10, [][]bool{{false, false}, {true, false}, {false, true}, {true, true}}); len(keys) != 0 {
+		t.Errorf("every key known: got %v, want none", keys)
 	}
 }
 
 func TestKeySolverEnumerateZero(t *testing.T) {
 	c, _ := xorLock(t)
 	ks := NewKeySolver(c)
-	if keys := ks.EnumerateKeys(context.Background(), 0); keys != nil {
+	if keys := ks.EnumerateKeys(context.Background(), 0, nil); keys != nil {
 		t.Error("max=0 should return nil")
 	}
 }

@@ -234,6 +234,13 @@ type instance struct {
 	state   instState
 	key     []bool
 
+	// pool holds at most N_satis distinct keys, each satisfying every
+	// specified bit of every recorded DIP: the §IV-C candidates that
+	// survived the DIPs recorded since they were found, in the order
+	// they entered. The keys themselves are never written, so a fork
+	// copies only the slice.
+	pool [][]bool
+
 	keyBuf    []byte // repeated-DIP map lookups without a string alloc
 	unspecBuf []int  // unspecified-bit index scratch (handleRepeat)
 }
@@ -259,6 +266,7 @@ func (in *instance) clone(id int) *instance {
 		dips:    make([]*dip, len(in.dips)),
 		byInput: make(map[string]int, len(in.byInput)),
 		state:   in.state,
+		pool:    append([][]bool(nil), in.pool...),
 	}
 	for i, d := range in.dips {
 		n.dips[i] = d.cloneFor()
@@ -279,6 +287,22 @@ func (in *instance) specify(d *dip, j int, val bool) {
 	cnf.Equal(in.M.S, d.outA[j], val)
 	cnf.Equal(in.M.S, d.outB[j], val)
 	cnf.Equal(in.KS.S, d.outs[j], val)
+}
+
+// respecify pins bit j of a DIP recorded earlier (a fork or a
+// force-proceed, §IV-D) and drops every pool key whose output j at d.x
+// is not val, so the pool keeps satisfying every specified bit.
+func (run *attackRun) respecify(in *instance, d *dip, j int, val bool) {
+	in.specify(d, j, val)
+	po := run.locked.POs[j]
+	kept := in.pool[:0]
+	for _, k := range in.pool {
+		run.wires = run.locked.EvalWires(d.x, k, run.wires)
+		if run.wires[po] == val {
+			kept = append(kept, k)
+		}
+	}
+	in.pool = kept
 }
 
 // attackRun bundles the run state. One goroutine drives every
@@ -307,6 +331,11 @@ type attackRun struct {
 	// every later DIP reuses its wire-value and probability scratch
 	// instead of reallocating it per key.
 	est *errprop.Estimator
+	// outs receives the candidates' deterministic outputs at the new DI
+	// from est (candidate-major), and wires is respecify's evaluation
+	// scratch; both serve every instance.
+	outs  []bool
+	wires []bool
 }
 
 func (run *attackRun) logf(format string, args ...interface{}) {
@@ -694,6 +723,13 @@ func (run *attackRun) finish(ctx context.Context, in *instance) error {
 // two expensive stages (oracle sampling, key enumeration) so a
 // cancelled run never mistakes their truncated output for real data —
 // in particular an interrupted enumeration must not kill the instance.
+//
+// The N_satis keys §IV-C averages over are the instance's pool, which
+// satisfies every recorded DIP, topped up from the key solver with new
+// keys when the pool is short. Once eq. 4 has specified the new DIP's
+// bits, the candidates that disagree with one of them leave, judged by
+// the outputs the BER estimate computed anyway; the rest are the pool
+// for the next DIP.
 func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) error {
 	opts := &run.opts
 	probs := oracle.SignalProbs(ctx, run.orc, x, opts.Ns)
@@ -703,9 +739,14 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 	u := oracle.Uncertainties(probs)
 
 	// Satisfying keys of the recorded DIPs → averaged BER estimate.
-	cand := in.KS.EnumerateKeys(ctx, opts.NSatis)
-	if err := ctx.Err(); err != nil {
-		return run.interrupted(in, err)
+	pooled := len(in.pool)
+	cand := in.pool
+	if short := opts.NSatis - pooled; short > 0 {
+		fresh := in.KS.EnumerateKeys(ctx, short, in.pool)
+		if err := ctx.Err(); err != nil {
+			return run.interrupted(in, err)
+		}
+		cand = append(cand, fresh...)
 	}
 	if len(cand) == 0 {
 		run.setState(in, dead)
@@ -714,7 +755,12 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 	if run.est == nil {
 		run.est = errprop.NewEstimator(run.locked)
 	}
-	e, err := run.est.AverageOutputBERs(x, cand, opts.EpsG)
+	n := len(cand) * run.locked.NumPOs()
+	if cap(run.outs) < n {
+		run.outs = make([]bool, n)
+	}
+	outs := run.outs[:n]
+	e, err := run.est.AverageOutputBERs(x, cand, opts.EpsG, outs)
 	if err != nil {
 		return fmt.Errorf("statsat: BER estimation: %w", err)
 	}
@@ -761,10 +807,11 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 			}
 		}
 	}
+	in.pool = keepAgreeing(cand, outs, d.y)
 	if traced {
 		run.eng.EmitDIP(&in.Instance, in.Iterations, &trace.DIPInfo{
 			Index: dipIdx, X: keyOf(x), Y: fmtY(d.y),
-			Outputs: len(probs), Specified: specified, Candidates: len(cand),
+			Outputs: len(probs), Specified: specified, Candidates: len(cand), Pooled: pooled,
 		})
 		run.tr.Emit(trace.Event{
 			Type: trace.BitsGated, Instance: in.ID, Iter: in.Iterations,
@@ -772,10 +819,31 @@ func (run *attackRun) recordNewDIP(ctx context.Context, in *instance, x []bool) 
 		})
 	}
 	if run.opts.Logf != nil {
-		run.logf("statsat: instance %d DIP %d: x=%s y=%s (%d/%d bits specified, %d candidate keys)",
-			in.ID, len(in.dips), keyOf(x), fmtY(d.y), specified, len(probs), len(cand))
+		run.logf("statsat: instance %d DIP %d: x=%s y=%s (%d/%d bits specified, %d candidate keys, %d from the pool)",
+			in.ID, len(in.dips), keyOf(x), fmtY(d.y), specified, len(probs), len(cand), pooled)
 	}
 	return nil
+}
+
+// keepAgreeing compacts cand in place to the keys whose outputs (row i
+// of outs holds key i's) agree with every specified bit of y.
+func keepAgreeing(cand [][]bool, outs []bool, y []int8) [][]bool {
+	npo := len(y)
+	kept := cand[:0]
+	for i, k := range cand {
+		row := outs[i*npo : (i+1)*npo]
+		agree := true
+		for j, v := range y {
+			if v >= 0 && row[j] != (v == 1) {
+				agree = false
+				break
+			}
+		}
+		if agree {
+			kept = append(kept, k)
+		}
+	}
+	return kept
 }
 
 // handleRepeat implements §IV-D: duplicate when capacity allows
@@ -805,9 +873,9 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 			j = argmaxAt(d.e, unspec)
 		}
 		v := d.probs[j] >= 0.5
-		in.specify(d, j, v)
+		run.respecify(in, d, j, v)
 		childDip := child.dips[in.dipIndex(d)]
-		child.specify(childDip, j, !v)
+		run.respecify(child, childDip, j, !v)
 		if run.tr.Enabled() {
 			run.tr.Emit(trace.Event{
 				Type: trace.Fork, Instance: in.ID, Iter: in.Iterations,
@@ -822,7 +890,7 @@ func (run *attackRun) handleRepeat(in *instance, d *dip) error {
 	run.res.ForceProceeds++
 	j := argminAt(d.e, unspec)
 	v := d.probs[j] >= 0.5
-	in.specify(d, j, v)
+	run.respecify(in, d, j, v)
 	if run.tr.Enabled() {
 		run.tr.Emit(trace.Event{
 			Type: trace.ForceProceed, Instance: in.ID, Iter: in.Iterations,

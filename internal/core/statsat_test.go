@@ -350,28 +350,35 @@ func TestUncertaintyGatingLeavesBitsUnspecified(t *testing.T) {
 	}
 }
 
-// TestAttackRespectsInstanceCap runs an attack noisy enough to fork up
-// to its N_inst cap and then force-proceed: live instances must reach
-// the cap and never pass it.
+// TestAttackRespectsInstanceCap runs attacks noisy enough to fork up
+// to their N_inst cap and then force-proceed, over a fixed set of
+// chips (which of them reaches the cap depends on the trajectory):
+// live instances must never pass the cap, and at least one run must
+// reach it and force-proceed.
 func TestAttackRespectsInstanceCap(t *testing.T) {
-	_, l := lockedSmall(t, 12, 12)
 	const eps, nInst = 0.05, 4
-	orc := oracle.NewProbabilistic(l.Circuit, l.Key, eps, 300)
-	opts := quickOpts(eps, nInst)
-	opts.MaxTotalIter = 2000
-	res, err := Attack(context.Background(), l.Circuit, orc, opts)
-	if err != nil {
-		t.Fatal(err)
+	reached := false
+	for seed := int64(10); seed <= 15; seed++ {
+		_, l := lockedSmall(t, seed, 12)
+		orc := oracle.NewProbabilistic(l.Circuit, l.Key, eps, 300+seed)
+		opts := quickOpts(eps, nInst)
+		opts.MaxTotalIter = 2000
+		res, err := Attack(context.Background(), l.Circuit, orc, opts)
+		if err != nil {
+			t.Fatalf("lock seed %d: %v", seed, err)
+		}
+		if res.Instances > nInst {
+			t.Errorf("lock seed %d: run used %d live instances, cap was %d", seed, res.Instances, nInst)
+		}
+		if len(res.Keys) > nInst {
+			t.Errorf("lock seed %d: %d keys exceed N_inst", seed, len(res.Keys))
+		}
+		if res.Instances == nInst && res.ForceProceeds > 0 {
+			reached = true
+		}
 	}
-	if res.Instances > nInst {
-		t.Errorf("run used %d live instances, cap was %d", res.Instances, nInst)
-	}
-	if res.Instances < nInst || res.ForceProceeds == 0 {
-		t.Errorf("peak %d live instances, %d force-proceeds: the run never reached its cap of %d",
-			res.Instances, res.ForceProceeds, nInst)
-	}
-	if len(res.Keys) > nInst {
-		t.Errorf("%d keys exceed N_inst", len(res.Keys))
+	if !reached {
+		t.Errorf("no run reached its cap of %d live instances and force-proceeded", nInst)
 	}
 }
 

@@ -220,10 +220,16 @@ func (est *Estimator) OutputBERsInto(dst []float64, x, k []bool, eps float64) ([
 // the returned averaged vector is allocated (it is freshly allocated
 // on every call because callers retain it per DIP).
 //
+// The estimate computes every key's deterministic outputs at x on the
+// way. When outs is non-nil it receives them, key i's output j at
+// outs[i·NumPOs()+j], so a caller can check the keys against x's
+// observed outputs without evaluating them again; it must hold
+// len(keys)·NumPOs() values.
+//
 // The key-independent part of the circuit is evaluated once for x;
 // each key then re-evaluates only the gates downstream of a key input.
 // The result is bit-identical to averaging WireErrorProbs per key.
-func (est *Estimator) AverageOutputBERs(x []bool, keys [][]bool, eps float64) ([]float64, error) {
+func (est *Estimator) AverageOutputBERs(x []bool, keys [][]bool, eps float64, outs []bool) ([]float64, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("errprop: no candidate keys to average over")
 	}
@@ -231,14 +237,21 @@ func (est *Estimator) AverageOutputBERs(x []bool, keys [][]bool, eps float64) ([
 		return nil, err
 	}
 	c := est.c
+	npo := c.NumPOs()
 	est.setInputs(x)
 	est.propagate(est.ops[:est.nIndep], eps)
-	acc := make([]float64, c.NumPOs())
-	for _, k := range keys {
+	acc := make([]float64, npo)
+	for ki, k := range keys {
 		est.setKey(k)
 		est.propagate(est.ops[est.nIndep:], eps)
 		for i, po := range c.POs {
 			acc[i] += est.p[po]
+		}
+		if outs != nil {
+			row := outs[ki*npo : (ki+1)*npo]
+			for i, po := range c.POs {
+				row[i] = est.vals[po]
+			}
 		}
 	}
 	for i := range acc {

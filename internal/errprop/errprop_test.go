@@ -246,7 +246,7 @@ func TestAverageOutputBERs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := NewEstimator(orig).AverageOutputBERs(x, [][]bool{nil, nil, nil}, 0.03)
+	avg, err := NewEstimator(orig).AverageOutputBERs(x, [][]bool{nil, nil, nil}, 0.03, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAverageOutputBERs(t *testing.T) {
 			t.Errorf("output %d: avg %v vs single %v", i, avg[i], single[i])
 		}
 	}
-	if _, err := NewEstimator(orig).AverageOutputBERs(x, nil, 0.03); err == nil {
+	if _, err := NewEstimator(orig).AverageOutputBERs(x, nil, 0.03, nil); err == nil {
 		t.Error("want error for empty key set")
 	}
 }
@@ -349,13 +349,57 @@ func TestKeyIndependentConeBitIdentical(t *testing.T) {
 			for i := range want {
 				want[i] /= float64(len(keys))
 			}
-			avg, err := est.AverageOutputBERs(x, keys, eps)
+			avg, err := est.AverageOutputBERs(x, keys, eps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if math.Float64bits(avg[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s: output %d: average %v, per-key mean %v", name, i, avg[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAverageOutputBERsHandsBackOutputs: the deterministic outputs
+// AverageOutputBERs hands back are Circuit.Eval's, key by key, and
+// handing them back leaves the estimate unchanged.
+func TestAverageOutputBERsHandsBackOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bm, _ := gen.ByName("c880")
+	l, err := lock.SLL(bm.BuildScaled(8), 10, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := l.Circuit
+	est := NewEstimator(c)
+	npo := c.NumPOs()
+	for trial := 0; trial < 4; trial++ {
+		x := c.RandomInputs(rng)
+		keys := make([][]bool, 6)
+		for i := range keys {
+			keys[i] = c.RandomKey(rng)
+		}
+		outs := make([]bool, len(keys)*npo)
+		got, err := est.AverageOutputBERs(x, keys, 0.02, outs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := est.AverageOutputBERs(x, keys, 0.02, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("output %d: estimate %v with outputs handed back, %v without", i, got[i], want[i])
+			}
+		}
+		for ki, k := range keys {
+			ref := c.Eval(x, k, nil)
+			for j := range ref {
+				if outs[ki*npo+j] != ref[j] {
+					t.Fatalf("trial %d key %d output %d: handed back %v, Eval %v", trial, ki, j, outs[ki*npo+j], ref[j])
 				}
 			}
 		}

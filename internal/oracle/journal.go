@@ -14,16 +14,27 @@ package oracle
 // no matter where the original was interrupted (even mid-sampling:
 // a tape prefix simply replays fewer samples before going live).
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // NoiseCounter is implemented by oracles whose noisy evaluations
 // consume a counted rng stream (Probabilistic). NoiseDraws reports the
 // stream position; SkipNoiseDraws advances a fresh oracle to a
 // recorded position so resumed sampling continues the same stream.
+// MaxNoiseDraws bounds the draws one interaction can take: a scalar
+// Query for words = 0, a QueryBlock of words words otherwise.
+// ValidateTape holds every tape record to it, so a damaged draw count
+// cannot send a resume's skip on an endless walk.
 type NoiseCounter interface {
 	NoiseDraws() uint64
 	SkipNoiseDraws(n uint64)
+	MaxNoiseDraws(words int) uint64
 }
+
+// ErrBadTape matches, via errors.Is, every error ValidateTape returns.
+var ErrBadTape = errors.New("oracle: bad tape")
 
 // TapeRecord is one recorded oracle interaction. Kind "q" is a scalar
 // Query (Y holds the output bits); kind "b" is a QueryBlock of Words
@@ -175,6 +186,15 @@ func (j *Journal) SkipNoiseDraws(n uint64) {
 	}
 }
 
+// MaxNoiseDraws implements NoiseCounter, forwarding to the inner
+// oracle; zero when it draws no noise.
+func (j *Journal) MaxNoiseDraws(words int) uint64 {
+	if nc, ok := j.inner.(NoiseCounter); ok {
+		return nc.MaxNoiseDraws(words)
+	}
+	return 0
+}
+
 // QueryBlock implements BlockQuerier; words must be in
 // [1, BlockWords()].
 func (j *Journal) QueryBlock(x []bool, words int) []uint64 {
@@ -200,44 +220,60 @@ func (j *Journal) BlockWords() int {
 // ValidateTape sanity-checks a replayed tape before a resume commits
 // to it: records must match the oracle's pinout, spell their bit
 // vectors in '0'/'1' only, and carry monotone non-decreasing
-// cumulative counters. A WAL that replays intact but fails validation
-// (a spec/netlist mismatch or a damaged record) aborts the resume
-// rather than silently diverging.
+// cumulative counters, whose draw count no record may advance by more
+// than its interaction can draw (none at all on an oracle that draws
+// no noise). A WAL that replays intact but fails validation (a
+// spec/netlist mismatch or a damaged record) aborts the resume rather
+// than silently diverging. Every error wraps ErrBadTape.
 func ValidateTape(tape []TapeRecord, o Oracle) error {
+	nc, _ := o.(NoiseCounter)
 	var q int64
 	var d uint64
 	for i, r := range tape {
+		words := 0
 		switch r.Kind {
 		case "q":
 			if len(r.Y) != o.NumOutputs() {
-				return fmt.Errorf("oracle: tape record %d: %d output bits, oracle has %d", i, len(r.Y), o.NumOutputs())
+				return badTape(i, "%d output bits, oracle has %d", len(r.Y), o.NumOutputs())
 			}
 			if !isBits(r.Y) {
-				return fmt.Errorf("oracle: tape record %d: output bits are not all '0'/'1'", i)
+				return badTape(i, "output bits are not all '0'/'1'")
 			}
 		case "b":
 			if r.Words < 1 || len(r.W) != o.NumOutputs()*r.Words {
-				return fmt.Errorf("oracle: tape record %d: %d block words for width %d, oracle has %d outputs",
-					i, len(r.W), r.Words, o.NumOutputs())
+				return badTape(i, "%d block words for width %d, oracle has %d outputs",
+					len(r.W), r.Words, o.NumOutputs())
 			}
 			if _, w := Blocks(o); w == 0 {
-				return fmt.Errorf("oracle: tape record %d is a block query but the oracle is scalar-only", i)
+				return badTape(i, "a block query, but the oracle is scalar-only")
 			}
+			words = r.Words
 		default:
-			return fmt.Errorf("oracle: tape record %d: unknown kind %q", i, r.Kind)
+			return badTape(i, "unknown kind %q", r.Kind)
 		}
 		if len(r.X) != o.NumInputs() {
-			return fmt.Errorf("oracle: tape record %d: %d input bits, oracle has %d", i, len(r.X), o.NumInputs())
+			return badTape(i, "%d input bits, oracle has %d", len(r.X), o.NumInputs())
 		}
 		if !isBits(r.X) {
-			return fmt.Errorf("oracle: tape record %d: input bits are not all '0'/'1'", i)
+			return badTape(i, "input bits are not all '0'/'1'")
 		}
 		if r.Queries < q || r.Draws < d {
-			return fmt.Errorf("oracle: tape record %d: counters went backwards", i)
+			return badTape(i, "counters went backwards")
+		}
+		var most uint64
+		if nc != nil {
+			most = nc.MaxNoiseDraws(words)
+		}
+		if r.Draws-d > most {
+			return badTape(i, "%d noise draws, one interaction draws at most %d", r.Draws-d, most)
 		}
 		q, d = r.Queries, r.Draws
 	}
 	return nil
+}
+
+func badTape(i int, format string, args ...interface{}) error {
+	return fmt.Errorf("%w: record %d: %s", ErrBadTape, i, fmt.Sprintf(format, args...))
 }
 
 // isBits reports whether s spells a bit vector in the tape's '0'/'1'

@@ -3,6 +3,7 @@ package oracle
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // journalFixture builds the c17 benchmark with a fixed key and returns
 // a fresh noisy oracle over it.
-func journalFixture(t *testing.T) (*circuit.Circuit, []bool, func() *Probabilistic) {
+func journalFixture(t testing.TB) (*circuit.Circuit, []bool, func() *Probabilistic) {
 	t.Helper()
 	c := gen.C17()
 	key := make([]bool, c.NumKeys())
@@ -23,7 +24,7 @@ func journalFixture(t *testing.T) (*circuit.Circuit, []bool, func() *Probabilist
 
 // drive performs a deterministic mixed workload (scalar, one-word
 // block, SignalProbs) against o and returns a digest of every answer.
-func drive(t *testing.T, o Oracle, nin int, upto int) [][]bool {
+func drive(t testing.TB, o Oracle, nin int, upto int) [][]bool {
 	t.Helper()
 	ctx := context.Background()
 	var out [][]bool
@@ -243,6 +244,25 @@ func TestJournalDivergenceFreezes(t *testing.T) {
 	}
 }
 
+// tapeDamages are the damaged tapes TestValidateTape must see
+// rejected, each an edit of a valid noisy-chip tape whose record 0 is
+// a scalar query.
+var tapeDamages = []struct {
+	name   string
+	damage func(tape []TapeRecord)
+}{
+	{"wrong input width", func(tp []TapeRecord) { tp[0].X += "0" }},
+	{"non-monotone counters", func(tp []TapeRecord) { tp[len(tp)-1].Queries = 0 }},
+	{"unknown record kind", func(tp []TapeRecord) { tp[0].Kind = "zz" }},
+	{"non-binary input bits", func(tp []TapeRecord) { tp[0].X = "?" + tp[0].X[1:] }},
+	{"non-binary output bits", func(tp []TapeRecord) { tp[0].Y = "?" + tp[0].Y[1:] }},
+	{"more draws than a query takes", func(tp []TapeRecord) {
+		for i := range tp {
+			tp[i].Draws += 1 << 40
+		}
+	}},
+}
+
 func TestValidateTape(t *testing.T) {
 	c, key, fresh := journalFixture(t)
 	var tape []TapeRecord
@@ -251,37 +271,109 @@ func TestValidateTape(t *testing.T) {
 	if err := ValidateTape(tape, fresh()); err != nil {
 		t.Fatalf("valid tape rejected: %v", err)
 	}
-	if err := ValidateTape(tape, NewDeterministic(c, key)); err == nil {
-		t.Fatal("block records accepted by a scalar-only oracle")
+	if err := ValidateTape(tape, NewDeterministic(c, key)); !errors.Is(err, ErrBadTape) {
+		t.Fatalf("block records on a scalar-only oracle: %v, want ErrBadTape", err)
 	}
-	bad := append([]TapeRecord(nil), tape...)
-	bad[0].X += "0"
-	if err := ValidateTape(bad, fresh()); err == nil {
-		t.Fatal("wrong input width accepted")
+	if tape[0].Kind != "q" {
+		t.Fatalf("record 0 is %q; the output-bit case needs a scalar query", tape[0].Kind)
 	}
-	bad = append([]TapeRecord(nil), tape...)
-	bad[len(bad)-1].Queries = 0
-	if err := ValidateTape(bad, fresh()); err == nil {
-		t.Fatal("non-monotone counters accepted")
+	for _, tc := range tapeDamages {
+		bad := append([]TapeRecord(nil), tape...)
+		tc.damage(bad)
+		if err := ValidateTape(bad, fresh()); !errors.Is(err, ErrBadTape) {
+			t.Errorf("%s: %v, want ErrBadTape", tc.name, err)
+		}
 	}
-	bad = append([]TapeRecord(nil), tape...)
-	bad[0].Kind = "zz"
-	if err := ValidateTape(bad, fresh()); err == nil {
-		t.Fatal("unknown record kind accepted")
+	// A deterministic chip draws no noise, so its tape records none.
+	var scalar []TapeRecord
+	det := NewJournal(NewDeterministic(c, key), nil, func(r TapeRecord) { scalar = append(scalar, r) })
+	drive(t, det, det.NumInputs(), 6)
+	if err := ValidateTape(scalar, NewDeterministic(c, key)); err != nil {
+		t.Fatalf("valid scalar tape rejected: %v", err)
 	}
-	bad = append([]TapeRecord(nil), tape...)
-	bad[0].X = "?" + bad[0].X[1:]
-	if err := ValidateTape(bad, fresh()); err == nil {
-		t.Fatal("non-binary input bits accepted")
+	scalar[len(scalar)-1].Draws = 1
+	if err := ValidateTape(scalar, NewDeterministic(c, key)); !errors.Is(err, ErrBadTape) {
+		t.Fatalf("noise draws on a deterministic chip: %v, want ErrBadTape", err)
 	}
-	bad = append([]TapeRecord(nil), tape...)
-	if bad[0].Kind != "q" {
-		t.Fatalf("record 0 is %q; the output-bit case needs a scalar query", bad[0].Kind)
+}
+
+// FuzzJournalReplay resumes from damaged tapes. The first input is a
+// JSON tape for c17, checked against a deterministic chip and a noisy
+// one: ValidateTape rejects it with ErrBadTape, or NewJournal replays
+// it under the scalar and block queries the second input spells (one
+// byte each: the low five bits are the input, a set top bit asks for
+// a block of 1 + bits 5–6 words). Replay never panics, answers have
+// the oracle's widths, and the journal's query and draw counters, and
+// those of the records it writes, never go backwards.
+func FuzzJournalReplay(f *testing.F) {
+	c, key, fresh := journalFixture(f)
+	var tape []TapeRecord
+	ctrl := NewJournal(fresh(), nil, func(r TapeRecord) { tape = append(tape, r) })
+	drive(f, ctrl, ctrl.NumInputs(), 6)
+	ops := []byte{0x00, 0x83, 0x1f, 0xe5, 0x07, 0xa0}
+	add := func(tp []TapeRecord) {
+		b, err := json.Marshal(tp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, ops)
 	}
-	bad[0].Y = "?" + bad[0].Y[1:]
-	if err := ValidateTape(bad, fresh()); err == nil {
-		t.Fatal("non-binary output bits accepted")
+	add(tape)
+	add(tape[:len(tape)/2])
+	for _, tc := range tapeDamages {
+		bad := append([]TapeRecord(nil), tape...)
+		tc.damage(bad)
+		add(bad)
 	}
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		var tp []TapeRecord
+		if json.Unmarshal(data, &tp) != nil {
+			return
+		}
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for _, inner := range []Oracle{NewDeterministic(c, key), fresh()} {
+			if err := ValidateTape(tp, inner); err != nil {
+				if !errors.Is(err, ErrBadTape) {
+					t.Fatalf("ValidateTape error %v does not wrap ErrBadTape", err)
+				}
+				continue
+			}
+			var lastQ int64
+			var lastD uint64
+			j := NewJournal(inner, tp, func(r TapeRecord) {
+				if r.Queries < lastQ || r.Draws < lastD {
+					t.Fatalf("recorded counters went backwards: %d/%d after %d/%d", r.Queries, r.Draws, lastQ, lastD)
+				}
+				lastQ, lastD = r.Queries, r.Draws
+			})
+			q, d := j.Queries(), j.NoiseDraws()
+			x := make([]bool, j.NumInputs())
+			for _, b := range ops {
+				for i := range x {
+					x[i] = b>>uint(i)&1 == 1
+				}
+				blq, wmax := Blocks(j)
+				if b&0x80 != 0 && wmax > 0 {
+					words := 1 + int(b>>5&3)
+					if words > wmax {
+						words = wmax
+					}
+					if w := blq.QueryBlock(x, words); len(w) != j.NumOutputs()*words {
+						t.Fatalf("block of %d words returned %d words", words, len(w))
+					}
+				} else if y := j.Query(x); len(y) != j.NumOutputs() {
+					t.Fatalf("query returned %d bits", len(y))
+				}
+				nq, nd := j.Queries(), j.NoiseDraws()
+				if nq < q || nd < d {
+					t.Fatalf("counters went backwards: queries %d → %d, draws %d → %d", q, nq, d, nd)
+				}
+				q, d = nq, nd
+			}
+		}
+	})
 }
 
 // TestNoiseDrawSkipEquivalence pins the circuit.NoiseSource contract: a

@@ -167,6 +167,19 @@ func (o *Probabilistic) NoiseDraws() uint64 { return o.src.Draws() }
 // noise a continuously running oracle would from that point on.
 func (o *Probabilistic) SkipNoiseDraws(n uint64) { o.src.Skip(n) }
 
+// MaxNoiseDraws implements NoiseCounter. A scalar query draws at most
+// once per gate, and each block word at most once per gate and lane
+// plus once to end its flip column; the bound is twice that, so the
+// draws math/rand and the flip sampler redo for an out-of-range value
+// (under 2⁻⁵³ of draws) never reach it.
+func (o *Probabilistic) MaxNoiseDraws(words int) uint64 {
+	g := uint64(o.c.NumGates())
+	if words == 0 {
+		return 2 * g
+	}
+	return 2 * uint64(words) * (circuit.BatchLanes*g + 1)
+}
+
 // Query implements Oracle: one noisy evaluation.
 func (o *Probabilistic) Query(x []bool) []bool {
 	o.queries++

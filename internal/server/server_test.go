@@ -116,17 +116,19 @@ func waitTerminal(t *testing.T, srv *Server, id string) *Job {
 }
 
 // slowSpec is a job that cannot finish quickly: an Anti-SAT locked
-// benchmark forces 2^(k/2) distinguishing iterations, so an 18-bit
-// lock (512 DIPs, a few seconds of attack) keeps the attack busy far
+// benchmark forces 2^(k/2) distinguishing iterations, so a 24-bit
+// lock (4096 DIPs, seconds of attack) keeps the attack busy far
 // longer than any test step — the 300 ms job timeout included — while
-// each individual iteration stays fast.
+// each individual iteration stays fast. (An 18-bit lock took 2.8 s
+// while StatSAT enumerated N_satis fresh keys per DIP, and 0.24 s once
+// its key pool kept them.)
 func slowSpec() Spec {
 	return Spec{
 		Attack:    "statsat",
 		Benchmark: "c880",
 		Scale:     8,
 		Lock:      "antisat",
-		KeyBits:   18,
+		KeyBits:   24,
 		Options:   SpecOptions{Ns: 20, MaxIter: 1 << 20},
 	}
 }

@@ -173,9 +173,12 @@ type DIPInfo struct {
 	Outputs int `json:"outputs"`
 	// Specified counts the bits of Y pinned at recording time.
 	Specified int `json:"specified"`
-	// Candidates is the number of satisfying keys enumerated for the
-	// BER estimate (StatSAT only).
+	// Candidates is the number of satisfying keys averaged for the BER
+	// estimate (StatSAT only).
 	Candidates int `json:"candidates,omitempty"`
+	// Pooled counts the Candidates the instance's key pool supplied,
+	// the rest being new keys from the key solver (StatSAT only).
+	Pooled int `json:"pooled,omitempty"`
 }
 
 // GatingInfo details the eq. 3-4 gating decision for one DIP

@@ -193,8 +193,12 @@ func NewJournalOracle(inner Oracle, tape []TapeRecord, sink func(TapeRecord)) *J
 }
 
 // ValidateTape sanity-checks a replayed tape against an oracle's
-// pinout before a resume commits to it.
+// pinout and counters before a resume commits to it. Every error it
+// returns matches ErrBadTape (errors.Is).
 func ValidateTape(tape []TapeRecord, o Oracle) error { return oracle.ValidateTape(tape, o) }
+
+// ErrBadTape matches every ValidateTape error.
+var ErrBadTape = oracle.ErrBadTape
 
 // Checkpoint is the serializable progress marker captured at the
 // engine's Step boundary; CheckpointSink receives one after every
