@@ -5,6 +5,7 @@
 //	experiments -profile quick -exp all
 //	experiments -profile paper -exp table2
 //	experiments -exp fig6
+//	experiments -profile smoke -exp table2 -cpuprofile table2.pprof
 //
 // Experiment IDs: table1 table2 table3 table4 table5 fig4 fig5 fig6
 // ablations defense sweep all.
@@ -19,6 +20,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -49,9 +51,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		traceDir = fs.String("trace", "", "record one JSON-lines trace per attack run into this directory (schema: docs/OBSERVABILITY.md)")
 		verbose  = fs.Bool("v", false, "stream trace events to stderr as they happen")
 		workers  = fs.Int("workers", 0, "experiment scheduler workers: 0 = one per CPU, 1 = sequential (results are identical for any value; see docs/PERFORMANCE.md)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf, stderr)
+		if err != nil {
+			fmt.Fprintf(stderr, "experiments: cpuprofile: %v\n", err)
+			return 1
+		}
+		defer stop()
 	}
 	p, ok := exp.ProfileByName(*profile)
 	if !ok {
@@ -113,6 +124,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
+}
+
+// startCPUProfile starts a CPU profile into path. The returned function
+// stops it and closes the file, reporting a failed close on stderr.
+func startCPUProfile(path string, stderr io.Writer) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(stderr, "experiments: cpuprofile: %v\n", err)
+		}
+	}, nil
 }
 
 // hasRows reports whether rows is a non-empty slice (typed nil slices

@@ -82,3 +82,19 @@ func TestHasRows(t *testing.T) {
 		t.Error("hasRows(non-slice) = true")
 	}
 }
+
+// TestCPUProfileFlag checks that -cpuprofile leaves a non-empty,
+// gzip-framed profile behind, as runtime/pprof writes it.
+func TestCPUProfileFlag(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	if code, _, errOut := runTool(t, "-exp", "table1", "-profile", "smoke", "-cpuprofile", prof); code != 0 {
+		t.Fatalf("exit = %d, stderr = %q", code, errOut)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is not gzip-framed: % x", b[:min(len(b), 8)])
+	}
+}

@@ -7,6 +7,9 @@
 //
 //	statsat -in locked.bench -keyfile locked.key -eps 0.0125 \
 //	        -attack statsat -ninst 8 -ns 500
+//
+// -cpuprofile <file> writes a runtime/pprof CPU profile of the whole
+// run (docs/OBSERVABILITY.md "CPU profiles").
 package main
 
 import (
@@ -18,6 +21,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -33,35 +37,45 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run carries the whole tool so deferred cleanup (trace flushing) still
-// happens on the non-zero exit paths — os.Exit in main would skip it.
-func run() int {
+// run carries the whole tool so deferred cleanup (trace flushing, the
+// CPU profile) still happens on the non-zero exit paths — os.Exit in
+// main would skip it.
+func run(args []string) int {
+	fs := flag.NewFlagSet("statsat", flag.ExitOnError)
 	var (
-		in       = flag.String("in", "", "locked netlist, .bench or structural .v (keyinput* inputs)")
-		format   = flag.String("format", "", "force netlist format: bench | verilog (default: by extension)")
-		keyStr   = flag.String("key", "", "correct key as a 0/1 string (activates the oracle)")
-		keyFile  = flag.String("keyfile", "", "file containing the correct key (0/1 string)")
-		eps      = flag.Float64("eps", 0, "oracle gate error probability (0 = deterministic chip)")
-		mode     = flag.String("attack", "statsat", "attack: statsat | psat | sat")
-		ns       = flag.Int("ns", 500, "oracle samples per distinguishing input")
-		nSatis   = flag.Int("nsatis", 100, "satisfying keys for BER estimation")
-		nEval    = flag.Int("neval", 2000, "evaluation inputs for FM/HD")
-		nInst    = flag.Int("ninst", 1, "maximum SAT instances")
-		uLam     = flag.Float64("ulambda", 0.25, "uncertainty threshold U_lambda")
-		eLam     = flag.Float64("elambda", 0.30, "estimated-BER threshold E_lambda")
-		epsG     = flag.Float64("epsg", -1, "attacker's gate-error estimate (-1 = estimate via §V-E; ignored when -eps 0). -server mode never estimates: it sends -1 as 0, which statsatd reads as the true -eps")
-		seed     = flag.Int64("seed", 1, "PRNG seed")
-		verbose  = flag.Bool("v", false, "log attack progress and stream trace events to stderr")
-		traceOut = flag.String("trace", "", "write a JSON-lines event trace to this file (schema: docs/OBSERVABILITY.md)")
-		maxIter  = flag.Int("maxiter", 20000, "iteration safety cap")
-		srvURL   = flag.String("server", "", "submit the job to a statsatd daemon at this base URL instead of attacking locally")
+		in       = fs.String("in", "", "locked netlist, .bench or structural .v (keyinput* inputs)")
+		format   = fs.String("format", "", "force netlist format: bench | verilog (default: by extension)")
+		keyStr   = fs.String("key", "", "correct key as a 0/1 string (activates the oracle)")
+		keyFile  = fs.String("keyfile", "", "file containing the correct key (0/1 string)")
+		eps      = fs.Float64("eps", 0, "oracle gate error probability (0 = deterministic chip)")
+		mode     = fs.String("attack", "statsat", "attack: statsat | psat | sat")
+		ns       = fs.Int("ns", 500, "oracle samples per distinguishing input")
+		nSatis   = fs.Int("nsatis", 100, "satisfying keys for BER estimation")
+		nEval    = fs.Int("neval", 2000, "evaluation inputs for FM/HD")
+		nInst    = fs.Int("ninst", 1, "maximum SAT instances")
+		uLam     = fs.Float64("ulambda", 0.25, "uncertainty threshold U_lambda")
+		eLam     = fs.Float64("elambda", 0.30, "estimated-BER threshold E_lambda")
+		epsG     = fs.Float64("epsg", -1, "attacker's gate-error estimate (-1 = estimate via §V-E; ignored when -eps 0). -server mode never estimates: it sends -1 as 0, which statsatd reads as the true -eps")
+		seed     = fs.Int64("seed", 1, "PRNG seed")
+		verbose  = fs.Bool("v", false, "log attack progress and stream trace events to stderr")
+		traceOut = fs.String("trace", "", "write a JSON-lines event trace to this file (schema: docs/OBSERVABILITY.md)")
+		maxIter  = fs.Int("maxiter", 20000, "iteration safety cap")
+		srvURL   = fs.String("server", "", "submit the job to a statsatd daemon at this base URL instead of attacking locally")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the run to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *in == "" {
 		return fail(fmt.Errorf("need -in <locked netlist>"))
+	}
+	if *cpuProf != "" {
+		stop, err := startCPUProfile(*cpuProf)
+		if err != nil {
+			return fail(err)
+		}
+		defer stop()
 	}
 	// Ctrl-C / SIGTERM cancels the attack at the next iteration
 	// boundary; the attack then returns its best-effort partial result.
@@ -288,4 +302,23 @@ func loadKey(keyStr, keyFile string, want int) ([]bool, error) {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "statsat:", err)
 	return 1
+}
+
+// startCPUProfile starts a CPU profile into path. The returned function
+// stops it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "statsat: cpuprofile:", err)
+		}
+	}, nil
 }

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"statsat/internal/attack"
+	"statsat/internal/engine"
 	"statsat/internal/gen"
 	"statsat/internal/lock"
+	"statsat/internal/netio"
 )
 
 func TestLoadKeyFromString(t *testing.T) {
@@ -81,5 +83,30 @@ func TestReportBaselineMarksCorrectKey(t *testing.T) {
 		if got := strings.Contains(buf.String(), "(CORRECT)"); got != tc.want {
 			t.Errorf("%s: marker present = %v, want %v in %q", tc.name, got, tc.want, buf.String())
 		}
+	}
+}
+
+// TestCPUProfileFlag runs the SAT attack on an RLL-locked c17 with
+// -cpuprofile and checks that the profile was written: a non-empty,
+// gzip-framed file, as runtime/pprof writes it.
+func TestCPUProfileFlag(t *testing.T) {
+	l, err := lock.RLL(gen.C17(), 4, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in, prof := filepath.Join(dir, "c17.bench"), filepath.Join(dir, "cpu.pprof")
+	if err := netio.WriteFile(in, l.Circuit, netio.Bench); err != nil {
+		t.Fatal(err)
+	}
+	if code := run([]string{"-in", in, "-key", engine.BitString(l.Key), "-attack", "sat", "-cpuprofile", prof}); code != 0 {
+		t.Fatalf("exit = %d", code)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is not gzip-framed: % x", b[:min(len(b), 8)])
 	}
 }

@@ -85,16 +85,17 @@ func baselineSig(res *statsat.BaselineResult, dips string) string {
 // attacks on small seeded locks: keys, iteration counts, oracle-query
 // counts and the DIP sequence. The wanted strings were recorded with
 // the solver's earlier pointer-based clause store and the per-key BER
-// estimator, and the StatSAT rows again when its §IV-C candidates
-// began to come from a pool of surviving keys (only sfll0-6 moved);
-// the solver, the estimator and the attack loops may get faster, never
-// different. StatSAT runs with four instances, so forks (and solver
+// estimator, the StatSAT rows again when its §IV-C candidates began
+// to come from a pool of surviving keys (only sfll0-6 moved), and all
+// seven when the miter's DIP-copy gates became non-decision variables
+// (every row moved); the solver, the estimator and the attack loops
+// may get faster, never different. StatSAT runs with four instances, so forks (and solver
 // clones) are on the pinned path.
 func TestGoldenTrajectories(t *testing.T) {
 	cases := []goldenCase{
 		{
 			name: "sat/rll-16",
-			want: "key=0110101001101110 iters=8 queries=8 failed=false dips=704e6a80315932ad",
+			want: "key=0110100001100110 iters=9 queries=9 failed=false dips=973eabfda85a8d68",
 			run: func(t *testing.T) string {
 				l := goldenLock(t, "rll", 16, 3)
 				rec := statsat.NewTraceRecorder()
@@ -107,7 +108,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		},
 		{
 			name: "sat/antisat-10",
-			want: "key=0100001000 iters=32 queries=32 failed=false dips=a0056a4a00567e73",
+			want: "key=0000000000 iters=32 queries=32 failed=false dips=4e7aa94fbf53c734",
 			run: func(t *testing.T) string {
 				l := goldenLock(t, "antisat", 10, 4)
 				rec := statsat.NewTraceRecorder()
@@ -120,7 +121,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		},
 		{
 			name: "psat/antisat-8@0.001",
-			want: "key=01000100 iters=16 queries=1600 failed=false dips=6f81c294ec7a34ab",
+			want: "key=00000000 iters=16 queries=1600 failed=false dips=0779b18175493535",
 			run: func(t *testing.T) string {
 				l := goldenLock(t, "antisat", 8, 5)
 				rec := statsat.NewTraceRecorder()
@@ -134,7 +135,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		},
 		{
 			name: "appsat/rll-32",
-			want: "key=00001000000001101111011101111110 iters=14 queries=64 failed=false dips=51349e2dd4e47e6e rounds=1",
+			want: "key=00011000100001001110011101111110 iters=13 queries=63 failed=false dips=c8b4a557fe7d6029 rounds=1",
 			run: func(t *testing.T) string {
 				// AppSAT emits no dip_found events; hash every chip query
 				// (DIPs and reconciliation patterns) instead.
@@ -149,21 +150,21 @@ func TestGoldenTrajectories(t *testing.T) {
 		},
 		{
 			name: "statsat/antisat-8@0.01",
-			want: "keys=11101110 iters=17 queries=3072 eval_queries=7680 forks=0 created=1 dips=5656c7f368ca900a",
+			want: "keys=00010001 iters=17 queries=3072 eval_queries=7680 forks=0 created=1 dips=97a8596bf042996e",
 			run: func(t *testing.T) string {
 				return statsatSig(t, goldenLock(t, "antisat", 8, 7), 21)
 			},
 		},
 		{
 			name: "statsat/sfll0-6@0.01",
-			want: "keys=101110,100001,010111,111001 iters=77 queries=12096 eval_queries=7680 forks=3 created=4 dips=78e497a4268e64d7",
+			want: "keys=101110,001001,111001,100001 iters=46 queries=7296 eval_queries=7680 forks=3 created=4 dips=5dc78b682f1586ce",
 			run: func(t *testing.T) string {
 				return statsatSig(t, goldenLock(t, "sfll", 6, 1), 21)
 			},
 		},
 		{
 			name: "statsat/rll-8@0.01",
-			want: "keys=10010011 iters=5 queries=768 eval_queries=7680 forks=0 created=1 dips=09621c4ac7f74caf",
+			want: "keys=10010011 iters=5 queries=768 eval_queries=7680 forks=0 created=1 dips=47f14f9de72e8566",
 			run: func(t *testing.T) string {
 				return statsatSig(t, goldenLock(t, "rll", 8, 9), 23)
 			},

@@ -54,6 +54,10 @@ func FreshLits(s *sat.Solver, n int) []sat.Lit {
 type Options struct {
 	// FixedPIs, if non-nil, hardwires the primary inputs to constants
 	// (the copy then has no PI variables). Length must equal NumPIs.
+	// The gate variables of such a copy are functions of the keys
+	// alone, so Encode makes them non-decision variables
+	// (sat.Solver.SetDecision): unit propagation assigns every one of
+	// them once the keys are set.
 	FixedPIs []bool
 	// PILits, if non-nil, reuses existing literals for the PIs
 	// (shared-input miter copies). Ignored when FixedPIs is set.
@@ -195,6 +199,7 @@ func Encode(s *sat.Solver, c *circuit.Circuit, opts Options) (*Copy, error) {
 		cp.Keys[i] = wires[id]
 	}
 
+	firstGate := sat.Var(s.NumVars())
 	share := opts.Share
 	if share != nil {
 		share.bind(s, c, order)
@@ -235,6 +240,14 @@ func Encode(s *sat.Solver, c *circuit.Circuit, opts Options) (*Copy, error) {
 		}
 	}
 	sc.fan = fan[:0]
+	if opts.FixedPIs != nil {
+		// Every variable allocated since the keys is a Tseitin gate
+		// output whose free inputs are key literals. Newest first: each
+		// is then the heap's last entry, and leaves it in O(1).
+		for v := sat.Var(s.NumVars()) - 1; v >= firstGate; v-- {
+			s.SetDecision(v, false)
+		}
+	}
 	for i, po := range c.POs {
 		cp.Outs[i] = wires[po]
 	}

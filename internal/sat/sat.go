@@ -1,10 +1,11 @@
 // Package sat implements a from-scratch CDCL (conflict-driven clause
 // learning) Boolean satisfiability solver in the MiniSat lineage:
 // two-watched-literal propagation, first-UIP conflict analysis with
-// clause minimisation, VSIDS variable activities, phase saving, Luby
-// restarts, activity-based learnt-clause reduction, incremental clause
-// addition between calls, solving under assumptions, and deep cloning
-// (used by StatSAT instance duplication).
+// clause minimisation, VSIDS variable activities over the decision
+// variables (SetDecision), phase saving, Luby restarts, activity-based
+// learnt-clause reduction, incremental clause addition between calls,
+// solving under assumptions, and deep cloning (used by StatSAT instance
+// duplication).
 //
 // The paper's reference implementation drives Lingeling through the
 // Subramanyan et al. SAT-attack framework; this package is the
@@ -143,8 +144,9 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	order    heap // max-activity variable heap
+	order    heap // max-activity heap over the unassigned decision variables
 	phase    []lbool
+	decision []bool // false: never in the heap (SetDecision)
 
 	claInc float64
 
@@ -275,6 +277,7 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, noRef)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse) // branch false first
+	s.decision = append(s.decision, true)
 	s.seen = append(s.seen, 0)
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v, &s.activity)
@@ -288,6 +291,25 @@ func (s *Solver) NewVars(n int) Var {
 		s.NewVar()
 	}
 	return first
+}
+
+// SetDecision makes v a decision variable (b, the default for a new
+// variable) or takes it out of the VSIDS heap (!b). The search never
+// branches on a non-decision variable while a decision variable is
+// free; one that propagation assigns as soon as the decision variables
+// are set (a Tseitin gate whose inputs all are) costs the heap nothing.
+// If every decision variable is assigned and a non-decision variable
+// is still free, Solve decides it anyway (pickBranchVar), so a Sat
+// model is always total. A solver that never calls SetDecision
+// searches exactly as one without it.
+func (s *Solver) SetDecision(v Var, b bool) {
+	s.decision[v] = b
+	switch {
+	case b && !s.order.inHeap(v):
+		s.order.push(v, &s.activity)
+	case !b && s.order.inHeap(v):
+		s.order.remove(v, &s.activity)
+	}
 }
 
 // Okay reports whether the solver is still consistent at the top level
@@ -473,7 +495,7 @@ func (s *Solver) cancelUntil(level int32) {
 		s.value[l] = lUndef
 		s.value[l.Not()] = lUndef
 		s.reason[v] = noRef
-		if !s.order.inHeap(v) {
+		if s.decision[v] && !s.order.inHeap(v) {
 			s.order.push(v, &s.activity)
 		}
 	}
@@ -722,9 +744,13 @@ func (s *Solver) compact(freed int) {
 	s.arena = arena
 }
 
-// pickBranchVar pops the most active unassigned variable. Once every
-// variable is assigned, popping would drain the heap entry by entry;
-// emptying it in one sweep reaches the same empty heap.
+// pickBranchVar pops the most active unassigned decision variable.
+// Once every variable is assigned, popping would drain the heap entry
+// by entry; emptying it in one sweep reaches the same empty heap. The
+// heap holds no non-decision variable (SetDecision removes it and
+// cancelUntil never puts it back), so if it runs dry while variables
+// are still free, those are non-decision variables that the decision
+// variables do not imply: they are decided in index order.
 func (s *Solver) pickBranchVar() (Var, bool) {
 	if len(s.trail) == len(s.level) {
 		s.order.clear()
@@ -734,6 +760,11 @@ func (s *Solver) pickBranchVar() (Var, bool) {
 		v := s.order.pop(&s.activity)
 		if s.value[PosLit(v)] == lUndef {
 			return v, true
+		}
+	}
+	for v := range s.level {
+		if s.value[PosLit(Var(v))] == lUndef {
+			return Var(v), true
 		}
 	}
 	return 0, false
@@ -919,8 +950,9 @@ func (s *Solver) ModelLit(l Lit) bool {
 }
 
 // Clone returns a deep copy of the solver: clauses, learnt clauses,
-// activities, phases and statistics. The clone can evolve completely
-// independently (StatSAT instance duplication relies on this).
+// activities, phases, decision flags and statistics. The clone can
+// evolve completely independently (StatSAT instance duplication relies
+// on this).
 //
 // Clause refs are arena offsets, so the clause store, both clause
 // lists, the reasons and the watch lists copy verbatim.
@@ -942,6 +974,7 @@ func (s *Solver) Clone() *Solver {
 	n.qhead = s.qhead
 	n.activity = slices.Clone(s.activity)
 	n.phase = slices.Clone(s.phase)
+	n.decision = slices.Clone(s.decision)
 	n.seen = make([]byte, len(s.seen))
 	n.model = slices.Clone(s.model)
 
@@ -1009,6 +1042,20 @@ func (h *heap) pop(act *[]float64) Var {
 		h.down(0, act)
 	}
 	return top
+}
+
+// remove takes v, which must be in the heap, out of it.
+func (h *heap) remove(v Var, act *[]float64) {
+	i := int(h.pos[v])
+	h.pos[v] = -1
+	last := h.data[len(h.data)-1]
+	h.data = h.data[:len(h.data)-1]
+	if i < len(h.data) {
+		h.data[i] = last
+		h.pos[last] = int32(i)
+		h.up(i, act)
+		h.down(int(h.pos[last]), act)
+	}
 }
 
 func (h *heap) decrease(v Var, act *[]float64) {

@@ -61,8 +61,8 @@ type Job struct {
 	// value is the in-memory path. tape is the recorded oracle
 	// interaction prefix a recovered job replays before going live
 	// (nil for fresh jobs; see docs/SERVER.md "Persistence and
-	// recovery"). It is set before the job is shared and never written
-	// after, so it is read without j.mu.
+	// recovery"). Like mat, only a run reads it, and the job drops it
+	// as it settles, under j.mu.
 	sinks sinks
 	tape  []statsat.TapeRecord
 
@@ -259,7 +259,7 @@ func (j *Job) finish(state State, out *Outcome, err error) {
 	j.outcome = out
 	j.err = err
 	j.finished = time.Now()
-	j.mat = nil
+	j.mat, j.tape = nil, nil
 	j.mu.Unlock()
 	j.settled(state)
 }
@@ -291,7 +291,7 @@ func (j *Job) Cancel(cause error) {
 		j.state = StateCancelled
 		j.err = cause
 		j.finished = time.Now()
-		j.mat = nil
+		j.mat, j.tape = nil, nil
 	}
 	j.mu.Unlock()
 	if queued {

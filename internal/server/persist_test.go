@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,11 +24,27 @@ import (
 // persistServer starts a Server with the durable fabric rooted at dir.
 func persistServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	srv := openPersist(t, dir, cfg)
+	return srv, serve(t, srv)
+}
+
+// openPersist creates a server on dir without starting it: recovered
+// jobs are in its store, and no worker has taken one yet. Hand it to
+// serve, which also shuts it down.
+func openPersist(t *testing.T, dir string, cfg Config) *Server {
+	t.Helper()
 	cfg.DataDir = dir
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// serve starts srv with an HTTP front end; cleanup closes the front
+// end and shuts srv down.
+func serve(t *testing.T, srv *Server) *httptest.Server {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	srv.Start(ctx)
 	hts := httptest.NewServer(srv)
@@ -40,7 +57,7 @@ func persistServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Ser
 		}
 		cancel()
 	})
-	return srv, hts
+	return hts
 }
 
 // copyTree byte-copies src into dst. Copying while the WAL writer is
@@ -161,13 +178,16 @@ func TestRestartDeterminism(t *testing.T) {
 
 			// Crash recovery: a fresh server on the image must resume the
 			// job (listed non-terminal, re-enqueued, tape replayed) and
-			// reach the exact same outcome.
-			srv2, _ := persistServer(t, dirB, Config{Workers: 1, MaxJobs: 8})
+			// reach the exact same outcome. The tape is read before
+			// Start: once a worker settles the job, it drops the tape.
+			srv2 := openPersist(t, dirB, Config{Workers: 1, MaxJobs: 8})
 			resumed, ok := srv2.store.get(id)
+			taped := ok && len(resumed.tape) > 0
+			serve(t, srv2)
 			if !ok {
 				t.Fatalf("job %s not recovered from the crash image", id)
 			}
-			if len(resumed.tape) == 0 {
+			if !taped {
 				t.Error("recovered job carries no oracle tape")
 			}
 			select {
@@ -192,6 +212,64 @@ func TestRestartDeterminism(t *testing.T) {
 				t.Errorf("resumed key not marked correct: %+v", got.Keys[0])
 			}
 		})
+	}
+}
+
+// TestSettledRecoveredJobDropsTape checks that a recovered job lets
+// go of its oracle tape as it settles, like its materialized chip: once
+// by running to completion, once by a Cancel while still queued.
+func TestSettledRecoveredJobDropsTape(t *testing.T) {
+	dirA, image := t.TempDir(), t.TempDir()
+	var snapped bool
+	cfg := Config{Workers: 1, MaxJobs: 8}
+	cfg.ckptHook = func(jobID string, n int) {
+		if n == 3 && !snapped {
+			snapped = true
+			copyTree(t, dirA, image)
+		}
+	}
+	srv, hts := persistServer(t, dirA, cfg)
+	id := submit(t, hts.URL, resumableSpec("sat", 0))
+	waitTerminal(t, srv, id)
+	if !snapped {
+		t.Fatal("job finished in under three checkpoints; no crash image taken")
+	}
+	held := func(j *Job) (tape int, mat bool) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return len(j.tape), j.mat != nil
+	}
+	for _, cancel := range []bool{false, true} {
+		dir := t.TempDir()
+		copyTree(t, image, dir)
+		srv2 := openPersist(t, dir, Config{Workers: 1, MaxJobs: 8})
+		j, ok := srv2.store.get(id)
+		if !ok {
+			serve(t, srv2)
+			t.Fatalf("job %s not recovered from the crash image", id)
+		}
+		if n, _ := held(j); n == 0 {
+			t.Error("recovered job carries no oracle tape")
+		}
+		if cancel {
+			j.Cancel(errors.New("test: cancelled while queued"))
+		}
+		serve(t, srv2)
+		select {
+		case <-j.Done():
+		case <-time.After(120 * time.Second):
+			t.Fatalf("recovered job did not settle (state %s)", j.State())
+		}
+		want := StateDone
+		if cancel {
+			want = StateCancelled
+		}
+		if st := j.State(); st != want {
+			t.Fatalf("recovered job settled as %s, want %s (err %v)", st, want, j.Err())
+		}
+		if n, mat := held(j); n != 0 || mat {
+			t.Errorf("settled (%s) recovered job still holds %d tape records (chip held: %v)", want, n, mat)
+		}
 	}
 }
 

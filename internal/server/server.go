@@ -155,9 +155,10 @@ func (s *Server) Start(ctx context.Context) {
 	s.mu.Unlock()
 
 	for _, j := range resume {
+		taped := len(j.tape) // a worker may settle j, and drop its tape, once it is queued
 		if s.enqueue(j) == nil {
 			s.logf("statsatd: job %s recovered (%s on %s, %d taped interactions)",
-				j.ID, j.attack, j.circuit.Name, len(j.tape))
+				j.ID, j.attack, j.circuit.Name, taped)
 		} else {
 			j.finish(StateFailed, nil, errors.New("server: queue full at recovery"))
 			j.cancel(nil)
