@@ -11,25 +11,19 @@
 // Supported gate keywords: BUF/BUFF, NOT/INV, AND, NAND, OR, NOR, XOR,
 // XNOR, MUX (and DFF, see Parse). Keywords match case-insensitively
 // under ASCII folding only: "inv" is INV, but a non-ASCII letter never
-// folds into a keyword. Inputs whose names begin with "keyinput" (the
-// convention of the Subramanyan et al. framework and of locked
-// netlists in the wild) are treated as key inputs; Parse orders them
-// numerically when they carry a numeric suffix so key bit i is
-// keyinput<i>.
+// folds into a keyword. Inputs whose names begin with
+// circuit.KeyPrefix ("keyinput") are key inputs, ordered by their
+// number, so key bit i is keyinput<i>.
 package bench
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"statsat/internal/circuit"
 )
-
-// KeyPrefix is the input-name prefix marking key inputs.
-const KeyPrefix = "keyinput"
 
 // ParseError describes a syntax or semantic problem in a .bench file.
 type ParseError struct {
@@ -92,23 +86,16 @@ func ParseString(s string) (*circuit.Circuit, error) {
 	return Parse(strings.NewReader(s))
 }
 
-func keySuffix(name string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(name, KeyPrefix))
-	if err != nil {
-		return 1 << 30
-	}
-	return n
-}
-
-// Write serialises a circuit to .bench. Gates without names get
-// synthetic ones (n<ID>); key inputs are renamed keyinput<i> to keep
-// the convention round-trippable.
+// Write serialises a circuit to .bench. Gates without names, or with
+// names .bench cannot carry (holding any of "#(),=", a line break or
+// edge space), get synthetic ones (n<ID>); key inputs are renamed
+// keyinput<i> to keep the convention round-trippable.
 func Write(w io.Writer, c *circuit.Circuit) error {
 	bw := bufio.NewWriter(w)
 	names := make([]string, len(c.Gates))
 	used := map[string]bool{}
 	for i, kid := range c.Keys {
-		names[kid] = fmt.Sprintf("%s%d", KeyPrefix, i)
+		names[kid] = fmt.Sprintf("%s%d", circuit.KeyPrefix, i)
 		used[names[kid]] = true
 	}
 	for id := range c.Gates {
@@ -116,7 +103,8 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 			continue
 		}
 		n := c.Gates[id].Name
-		if n == "" || used[n] || (c.Gates[id].Type != circuit.Key && strings.HasPrefix(n, KeyPrefix)) {
+		if n == "" || used[n] || strings.ContainsAny(n, "#(),=\r\n") || strings.TrimSpace(n) != n ||
+			(c.Gates[id].Type != circuit.Key && strings.HasPrefix(n, circuit.KeyPrefix)) {
 			n = fmt.Sprintf("n%d", id)
 			for used[n] {
 				n = "x" + n
@@ -140,16 +128,28 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	for _, id := range c.POs {
 		fmt.Fprintf(bw, "OUTPUT(%s)\n", names[id])
 	}
+	// .bench has no constant literal: a constant is x XOR x, or x XNOR
+	// x, on an input x.
+	x := ""
+	if len(c.PIs) > 0 {
+		x = names[c.PIs[0]]
+	} else if len(c.Keys) > 0 {
+		x = names[c.Keys[0]]
+	}
 	for _, id := range c.MustTopoOrder() {
 		g := &c.Gates[id]
 		if g.Type.IsInputType() {
-			switch g.Type {
-			// .bench has no constant literal; emit the standard trick.
-			case circuit.Const0:
-				fmt.Fprintf(bw, "%s = XOR(%s, %s)\n", names[id], firstSource(c, names), firstSource(c, names))
-			case circuit.Const1:
-				fmt.Fprintf(bw, "%s = XNOR(%s, %s)\n", names[id], firstSource(c, names), firstSource(c, names))
+			if g.Type != circuit.Const0 && g.Type != circuit.Const1 {
+				continue
 			}
+			if x == "" {
+				return fmt.Errorf("bench: cannot serialise constant %q in a circuit without inputs", names[id])
+			}
+			kw := "XOR"
+			if g.Type == circuit.Const1 {
+				kw = "XNOR"
+			}
+			fmt.Fprintf(bw, "%s = %s(%s, %s)\n", names[id], kw, x, x)
 			continue
 		}
 		kw, ok := Keyword(g.Type)
@@ -163,16 +163,6 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", names[id], kw, strings.Join(ops, ", "))
 	}
 	return bw.Flush()
-}
-
-func firstSource(c *circuit.Circuit, names []string) string {
-	if len(c.PIs) > 0 {
-		return names[c.PIs[0]]
-	}
-	if len(c.Keys) > 0 {
-		return names[c.Keys[0]]
-	}
-	return "n0"
 }
 
 // Format renders the circuit as a .bench string.

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"statsat/internal/circuit"
 )
@@ -96,6 +99,33 @@ v = NOT(b)
 	}
 }
 
+// TestParseLastFirstChain: a 100,000-gate NOT chain whose gates are
+// declared before their drivers builds in linear time. A worklist that
+// re-scans the pending gates once per pass took quadratic time on it.
+func TestParseLastFirstChain(t *testing.T) {
+	const n = 100000
+	var sb strings.Builder
+	sb.WriteString("INPUT(a)\nOUTPUT(y)\ny = BUFF(w0)\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&sb, "w%d = NOT(w%d)\n", i, i+1)
+	}
+	fmt.Fprintf(&sb, "w%d = NOT(a)\n", n-1)
+	start := time.Now()
+	c, err := ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("parsing a %d-gate chain declared last-first took %v", n, el)
+	}
+	if c.NumLogicGates() != n+1 {
+		t.Fatalf("%d logic gates, want %d", c.NumLogicGates(), n+1)
+	}
+	if got := c.Eval([]bool{true}, nil, nil)[0]; got != (n%2 == 0) {
+		t.Errorf("chain(1) = %v", got)
+	}
+}
+
 func TestParseGateKeywordAliases(t *testing.T) {
 	// Aliases and ASCII case folding: every output must compute the
 	// same function whatever the keyword's spelling.
@@ -173,6 +203,10 @@ var parseErrorCases = []struct {
 	// to I under Unicode rules, but it spells no keyword.
 	{"non-ASCII gate keyword", "INPUT(a)\nOUTPUT(y)\ny = ınv(a)\n", 3},
 	{"non-ASCII INPUT keyword", "ınput(a)\nOUTPUT(y)\ny = NOT(a)\n", 1},
+	// Errors blame the line at fault: the gate that reads an undefined
+	// signal, and a gate on a cycle.
+	{"undefined signal behind a defined gate", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(ghost)\n", 4},
+	{"cycle feeding the output's gate", "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(w)\nw = NOT(z)\n", 4},
 }
 
 func TestParseErrors(t *testing.T) {
@@ -324,6 +358,35 @@ func TestWriteConstGates(t *testing.T) {
 	}
 }
 
+// TestWriteNamesBenchCannotCarry: names holding .bench syntax ("#",
+// "=", parentheses, commas) are written under synthetic names, so the
+// rendering parses back to the same function. A constant in a circuit
+// without inputs, which .bench derives from an input, is an error.
+func TestWriteNamesBenchCannotCarry(t *testing.T) {
+	c := circuit.New("odd")
+	a := c.AddInput("a#1")
+	b := c.AddInput("b=c")
+	g := c.AddGate(circuit.Xor, "f(a,b)", a, b)
+	c.AddOutput(g, "")
+	back, err := ParseString(Format(c))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, Format(c))
+	}
+	for m := 0; m < 4; m++ {
+		pi := []bool{m&1 == 1, m&2 == 2}
+		if back.Eval(pi, nil, nil)[0] != c.Eval(pi, nil, nil)[0] {
+			t.Fatalf("round trip differs at %v\n%s", pi, Format(c))
+		}
+	}
+
+	k := circuit.New("inputless")
+	one := k.AddGate(circuit.Const1, "one")
+	k.AddOutput(one, "")
+	if err := Write(io.Discard, k); err == nil {
+		t.Error("Write accepted a constant it has no input to derive from")
+	}
+}
+
 // TestParseDFFScanConversion: ISCAS89-style s27 fragment — DFFs become
 // scan I/O (pseudo PI for Q, pseudo PO for D), the standard full-scan
 // assumption of oracle-guided attacks.
@@ -387,15 +450,6 @@ y = AND(q, a)
 	}
 	if c.NumKeys() != 1 || c.NumPIs() != 2 || c.NumPOs() != 2 {
 		t.Fatalf("interface: %d keys %d PIs %d POs", c.NumKeys(), c.NumPIs(), c.NumPOs())
-	}
-}
-
-func TestKeySuffixOrdering(t *testing.T) {
-	if keySuffix("keyinput7") != 7 {
-		t.Error("numeric suffix not parsed")
-	}
-	if keySuffix("keyinputx") <= 1000000 {
-		t.Error("non-numeric suffix should sort last")
 	}
 }
 

@@ -53,8 +53,9 @@ func ParseFormat(name string) (Format, error) {
 // format ("" = Bench) — the one reader every entry point goes through:
 // sources that never touch the filesystem, such as netlists uploaded
 // to statsatd or embedded in tests, call it directly, and ReadFile and
-// ReadString wrap it. .bench goes through bench.Parse, whose
-// bounded-memory front end suits 100k-gate netlists.
+// ReadString wrap it. Both formats' parsers declare into one
+// circuit.Builder, whose packed records and linear-time build suit
+// 100k-gate netlists declared in any order.
 func ReadFromStreaming(r io.Reader, f Format) (*circuit.Circuit, error) {
 	switch f {
 	case Verilog:

@@ -271,10 +271,8 @@ type submitReply struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var sp Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	sp, err := decodeSpec(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, err)
@@ -288,7 +286,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	j := newJob(&sp, mat, s.cfg.TraceBuffer)
+	j := newJob(sp, mat, s.cfg.TraceBuffer)
 
 	// Server.mu covers only the accepting check and the job's context.
 	// The store and the queue hand-off may wait on the WAL writer, so

@@ -399,6 +399,36 @@ func TestNetlistUploadJob(t *testing.T) {
 	}
 }
 
+// TestNetlistUploadDeclaredLastFirst: a Verilog upload whose 20,000
+// gates are each declared before their driver is admitted at once and
+// attacked. A parser that re-scanned the pending gates once per pass
+// took about 44 s on it, inside the POST handler.
+func TestNetlistUploadDeclaredLastFirst(t *testing.T) {
+	const n = 20000
+	var sb strings.Builder
+	sb.WriteString("module chain (a, keyinput0, y);\n  input a, keyinput0;\n  output y;\n  buf (y, w0);\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&sb, "  not (w%d, w%d);\n", i, i+1)
+	}
+	fmt.Fprintf(&sb, "  xor (w%d, a, keyinput0);\nendmodule\n", n-1)
+	srv, hts := testServer(t, Config{Workers: 1, MaxJobs: 4})
+	start := time.Now()
+	id := submit(t, hts.URL, Spec{
+		Attack: "sat", Netlist: sb.String(), Format: "verilog", Key: "1",
+		Options: SpecOptions{MaxIter: 500},
+	})
+	if el := time.Since(start); el > 5*time.Second {
+		t.Errorf("submitting a %d-gate netlist declared last-first took %v", n, el)
+	}
+	j := waitTerminal(t, srv, id)
+	if st := j.State(); st != StateDone {
+		t.Fatalf("state = %s (err %v)", st, j.Err())
+	}
+	if out := j.Outcome(); out == nil || len(out.Keys) != 1 || !out.Keys[0].Correct {
+		t.Fatalf("outcome = %+v, want one correct key", out)
+	}
+}
+
 func TestAPIErrors(t *testing.T) {
 	_, hts := testServer(t, Config{Workers: 1, MaxJobs: 4})
 

@@ -15,8 +15,10 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"statsat"
@@ -89,6 +91,18 @@ type SpecOptions struct {
 	// eps_g" assumption of §V costs nothing).
 	EpsG    float64 `json:"epsg,omitempty"`
 	MaxIter int     `json:"max_iter,omitempty"`
+}
+
+// decodeSpec reads a POST /v1/jobs body: one Spec, unknown fields
+// refused.
+func decodeSpec(r io.Reader) (*Spec, error) {
+	var sp Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		return nil, err
+	}
+	return &sp, nil
 }
 
 // attackKinds is the closed set of engines a job may request.

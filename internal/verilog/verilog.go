@@ -12,24 +12,21 @@
 //	  assign y = w1;         // treated as a BUF
 //	endmodule
 //
-// Comments (// and /* */), multi-line statements and 1'b0/1'b1
-// constants in assigns are handled. Behavioural constructs are
-// rejected with a positioned error.
+// Comments (// and /* */), multi-line statements, statements in any
+// order and 1'b0/1'b1 constants (in assigns and as gate operands) are
+// handled. Behavioural constructs are rejected with a positioned error.
 package verilog
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"statsat/internal/circuit"
 )
-
-// KeyPrefix marks key inputs, mirroring the .bench convention.
-const KeyPrefix = "keyinput"
 
 // ParseError reports a syntax/semantic problem with its statement.
 type ParseError struct {
@@ -57,168 +54,120 @@ var gateKeywords = map[string]circuit.GateType{
 }
 
 // Parse reads one structural Verilog module into a circuit.
+// Statements may come in any order: Parse tokenizes them and declares
+// each into a circuit.Builder, which resolves the names and builds the
+// circuit. A wire declaration only checks its names; a signal is
+// defined by an input declaration, a gate or an assign, once.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
 	stmts, name, err := tokenizeStatements(r)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		inputs  []string
-		outputs []string
-		gates   []rawGate
-	)
-	declared := map[string]bool{}
-	for _, st := range stmts {
-		fields := strings.Fields(st)
-		if len(fields) == 0 {
-			continue
+	// stmtError renders a Builder error at the statement it carries.
+	stmtError := func(err error) error {
+		var be *circuit.BuildError
+		if !errors.As(err, &be) {
+			return err
 		}
-		switch fields[0] {
-		case "input", "output", "wire":
-			names := splitNames(strings.TrimPrefix(st, fields[0]))
-			for _, n := range names {
-				if n == "" {
-					return nil, &ParseError{st, "empty identifier"}
-				}
-				declared[n] = true
-				switch fields[0] {
-				case "input":
-					inputs = append(inputs, n)
-				case "output":
-					outputs = append(outputs, n)
-				}
-			}
-		case "assign":
-			g, err := parseAssign(st)
-			if err != nil {
-				return nil, err
-			}
-			gates = append(gates, g)
-		default:
-			if ty, ok := gateKeywords[fields[0]]; ok {
-				g, err := parseGateInst(st, fields[0], ty)
-				if err != nil {
-					return nil, err
-				}
-				gates = append(gates, g)
-				continue
-			}
-			return nil, &ParseError{st, fmt.Sprintf("unsupported construct %q", fields[0])}
+		st := "endmodule"
+		if be.Pos > 0 {
+			st = stmts[be.Pos-1]
+		}
+		return &ParseError{st, be.Msg}
+	}
+	p := &parser{b: circuit.NewBuilder()}
+	for i, st := range stmts {
+		if err := p.statement(st, i+1); err != nil {
+			return nil, stmtError(err)
 		}
 	}
-
-	c := circuit.New(name)
-	id := map[string]int{}
-	var pis, keys []string
-	for _, in := range inputs {
-		if strings.HasPrefix(in, KeyPrefix) {
-			keys = append(keys, in)
-		} else {
-			pis = append(pis, in)
-		}
-	}
-	sort.SliceStable(keys, func(i, j int) bool { return keySuffix(keys[i]) < keySuffix(keys[j]) })
-	for _, n := range pis {
-		id[n] = c.AddInput(n)
-	}
-	for _, n := range keys {
-		id[n] = c.AddKey(n)
-	}
-	// Constants on demand.
-	constID := map[bool]int{}
-	getConst := func(v bool) int {
-		if g, ok := constID[v]; ok {
-			return g
-		}
-		ty := circuit.Const0
-		n := "const0"
-		if v {
-			ty = circuit.Const1
-			n = "const1"
-		}
-		g := c.AddGate(ty, n)
-		constID[v] = g
-		return g
-	}
-
-	// Multi-pass dependency resolution (same scheme as the bench parser).
-	pending := gates
-	defined := map[string]bool{}
-	for _, n := range inputs {
-		defined[n] = true
-	}
-	for len(pending) > 0 {
-		progressed := false
-		var next []rawGate
-		for _, g := range pending {
-			ready := true
-			for _, a := range g.args {
-				if a == "1'b0" || a == "1'b1" {
-					continue
-				}
-				if _, ok := id[a]; !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				next = append(next, g)
-				continue
-			}
-			fan := make([]int, len(g.args))
-			for i, a := range g.args {
-				switch a {
-				case "1'b0":
-					fan[i] = getConst(false)
-				case "1'b1":
-					fan[i] = getConst(true)
-				default:
-					fan[i] = id[a]
-				}
-			}
-			if _, dup := id[g.out]; dup {
-				return nil, &ParseError{g.stmt, fmt.Sprintf("signal %q driven twice", g.out)}
-			}
-			id[g.out] = c.AddGate(g.typ, g.out, fan...)
-			progressed = true
-		}
-		if !progressed {
-			g := next[0]
-			for _, a := range g.args {
-				if _, ok := id[a]; !ok && a != "1'b0" && a != "1'b1" {
-					if !declared[a] {
-						return nil, &ParseError{g.stmt, fmt.Sprintf("undeclared signal %q", a)}
-					}
-					return nil, &ParseError{g.stmt, fmt.Sprintf("signal %q never driven (or cyclic)", a)}
-				}
-			}
-			return nil, &ParseError{g.stmt, "cyclic gate definitions"}
-		}
-		pending = next
-	}
-	for _, o := range outputs {
-		gid, ok := id[o]
-		if !ok {
-			return nil, &ParseError{o, "output never driven"}
-		}
-		c.AddOutput(gid, o)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
+	c, err := p.b.Build(name)
+	if err != nil {
+		return nil, stmtError(err)
 	}
 	return c, nil
+}
+
+type parser struct {
+	b   *circuit.Builder
+	fan []int32 // the current gate's operand symbols
+}
+
+// statement declares st, the pos'th statement of the module.
+func (p *parser) statement(st string, pos int) error {
+	kw, rest, _ := strings.Cut(st, " ")
+	switch kw {
+	case "input", "output", "wire":
+		for _, n := range splitNames(rest) {
+			if n == "" {
+				return &ParseError{st, "empty identifier"}
+			}
+			if kw == "input" {
+				if err := p.b.Input(p.b.Sym([]byte(n)), pos); err != nil {
+					return err
+				}
+			} else if kw == "output" {
+				p.b.Output(p.b.Sym([]byte(n)))
+			}
+		}
+		return nil
+	case "assign":
+		// "assign y = x" and "assign y = 1'b0/1'b1", the forms
+		// ISCAS-converted netlists use, are buffers.
+		lhs, rhs, ok := strings.Cut(rest, "=")
+		lhs, rhs = strings.TrimSpace(lhs), strings.TrimSpace(rhs)
+		switch {
+		case !ok:
+			return &ParseError{st, "assign without '='"}
+		case lhs == "" || rhs == "":
+			return &ParseError{st, "malformed assign"}
+		case strings.ContainsAny(rhs, "&|^~?("):
+			return &ParseError{st, "behavioural assign expressions are not supported"}
+		}
+		return p.gate(circuit.Buf, []string{lhs, rhs}, pos)
+	}
+	ty, ok := gateKeywords[kw]
+	if !ok {
+		return &ParseError{st, fmt.Sprintf("unsupported construct %q", kw)}
+	}
+	// "and g1 (out, in1, in2, ...)" or "and (out, in1, ...)".
+	open, close := strings.IndexByte(st, '('), strings.LastIndexByte(st, ')')
+	if open < 0 || close < open {
+		return &ParseError{st, "malformed gate instantiation"}
+	}
+	ports := splitNames(st[open+1 : close])
+	if len(ports) < 2 {
+		return &ParseError{st, "gate needs an output and at least one input"}
+	}
+	if slices.Contains(ports, "") {
+		return &ParseError{st, "empty port"}
+	}
+	if n, min, max := len(ports)-1, ty.MinFanin(), ty.MaxFanin(); n < min || (max >= 0 && n > max) {
+		return &ParseError{st, fmt.Sprintf("%s with %d inputs", kw, n)}
+	}
+	return p.gate(ty, ports, pos)
+}
+
+// gate declares ports[0] = ty(ports[1:]...); the literals 1'b0 and
+// 1'b1 are the constants.
+func (p *parser) gate(ty circuit.GateType, ports []string, pos int) error {
+	p.fan = p.fan[:0]
+	for _, a := range ports[1:] {
+		switch a {
+		case "1'b0":
+			p.fan = append(p.fan, p.b.Const(circuit.Const0))
+		case "1'b1":
+			p.fan = append(p.fan, p.b.Const(circuit.Const1))
+		default:
+			p.fan = append(p.fan, p.b.Sym([]byte(a)))
+		}
+	}
+	return p.b.Gate(p.b.Sym([]byte(ports[0])), ty, p.fan, pos)
 }
 
 // ParseString is Parse over a string.
 func ParseString(s string) (*circuit.Circuit, error) {
 	return Parse(strings.NewReader(s))
-}
-
-type rawGate struct {
-	out  string
-	typ  circuit.GateType
-	args []string
-	stmt string
 }
 
 // tokenizeStatements strips comments, joins statements across lines
@@ -291,64 +240,13 @@ func tokenizeStatements(r io.Reader) ([]string, string, error) {
 	return stmts, name, nil
 }
 
-// splitNames parses "a, b , c" (optionally with a [msb:lsb] range,
-// which is rejected — the subset is scalar-only).
+// splitNames parses "a, b , c".
 func splitNames(s string) []string {
 	var out []string
 	for _, n := range strings.Split(s, ",") {
 		out = append(out, strings.TrimSpace(n))
 	}
 	return out
-}
-
-// parseGateInst parses "and g1 (out, a, b)" or "and (out, a)".
-func parseGateInst(st, kw string, ty circuit.GateType) (rawGate, error) {
-	open := strings.IndexByte(st, '(')
-	close := strings.LastIndexByte(st, ')')
-	if open < 0 || close < open {
-		return rawGate{}, &ParseError{st, "malformed gate instantiation"}
-	}
-	ports := splitNames(st[open+1 : close])
-	if len(ports) < 2 {
-		return rawGate{}, &ParseError{st, "gate needs an output and at least one input"}
-	}
-	for _, p := range ports {
-		if p == "" {
-			return rawGate{}, &ParseError{st, "empty port"}
-		}
-	}
-	out, args := ports[0], ports[1:]
-	if n, min, max := len(args), ty.MinFanin(), ty.MaxFanin(); n < min || (max >= 0 && n > max) {
-		return rawGate{}, &ParseError{st, fmt.Sprintf("%s with %d inputs", kw, n)}
-	}
-	return rawGate{out: out, typ: ty, args: args, stmt: st}, nil
-}
-
-// parseAssign handles "assign y = x" and "assign y = 1'b0/1'b1" (the
-// forms ISCAS-converted netlists use); anything else is rejected.
-func parseAssign(st string) (rawGate, error) {
-	body := strings.TrimSpace(strings.TrimPrefix(st, "assign"))
-	eq := strings.IndexByte(body, '=')
-	if eq < 0 {
-		return rawGate{}, &ParseError{st, "assign without '='"}
-	}
-	lhs := strings.TrimSpace(body[:eq])
-	rhs := strings.TrimSpace(body[eq+1:])
-	if lhs == "" || rhs == "" {
-		return rawGate{}, &ParseError{st, "malformed assign"}
-	}
-	if strings.ContainsAny(rhs, "&|^~?(") {
-		return rawGate{}, &ParseError{st, "behavioural assign expressions are not supported"}
-	}
-	return rawGate{out: lhs, typ: circuit.Buf, args: []string{rhs}, stmt: st}, nil
-}
-
-func keySuffix(name string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(name, KeyPrefix))
-	if err != nil {
-		return 1 << 30
-	}
-	return n
 }
 
 // Write serialises a circuit as a structural Verilog module. MUX gates
@@ -359,7 +257,7 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 	names := make([]string, len(c.Gates))
 	used := map[string]bool{}
 	for i, kid := range c.Keys {
-		names[kid] = fmt.Sprintf("%s%d", KeyPrefix, i)
+		names[kid] = fmt.Sprintf("%s%d", circuit.KeyPrefix, i)
 		used[names[kid]] = true
 	}
 	sanitize := func(n string) string {
@@ -383,7 +281,7 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 			continue
 		}
 		n := sanitize(c.Gates[id].Name)
-		if n == "" || n == "n" || used[n] || (c.Gates[id].Type != circuit.Key && strings.HasPrefix(n, KeyPrefix)) {
+		if n == "" || n == "n" || used[n] || (c.Gates[id].Type != circuit.Key && strings.HasPrefix(n, circuit.KeyPrefix)) {
 			n = fmt.Sprintf("g%d", id)
 			for used[n] {
 				n = "x" + n

@@ -1,9 +1,13 @@
 package verilog
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"statsat/internal/bench"
 	"statsat/internal/circuit"
@@ -137,24 +141,60 @@ endmodule
 	}
 }
 
+// parseErrorCases are modules Parse must reject. When signal is set,
+// the error must name it, and blame the statement stmt.
+var parseErrorCases = []struct{ name, src, signal, stmt string }{
+	{"behavioural assign", "module m(a,y); input a; output y; assign y = a & a; endmodule", "", ""},
+	{"always block", "module m(a,y); input a; output y; always @(a) y = a; endmodule", "", ""},
+	{"undriven output", "module m(a,y); input a; output y; endmodule", "y", "endmodule"},
+	{"undeclared signal ok but undriven", "module m(a,y); input a; output y; and g(y, a, ghost); endmodule", "ghost", "and g(y, a, ghost)"},
+	{"double driver", "module m(a,y); input a; output y; not g1(y,a); buf g2(y,a); endmodule", "y", "buf g2(y,a)"},
+	{"cycle", "module m(a,y); input a; output y; wire w; and g1(y,a,w); not g2(w,y); endmodule", "", ""},
+	{"bad arity not", "module m(a,b,y); input a,b; output y; not g(y,a,b); endmodule", "", ""},
+	{"malformed gate", "module m(a,y); input a; output y; and g y a; endmodule", "", ""},
+	{"empty port", "module m(a,y); input a; output y; and g(y,,a); endmodule", "", ""},
+	// A signal is declared once: a repeated input is not a second input.
+	{"input declared twice", "module m(a,y); input a; input a; output y; not g(y,a); endmodule", "a", "input a"},
+	{"key input declared twice", "module m(a,keyinput0,y); input a, keyinput0, keyinput0; output y; xor g(y,a,keyinput0); endmodule",
+		"keyinput0", "input a, keyinput0, keyinput0"},
+	// Errors blame the statement at fault: the gate that reads an
+	// undefined signal, and a gate on a cycle.
+	{"undefined signal behind a declared wire", "module m(a,y); input a; output y; wire z; and (y, a, z); not (z, ghost); endmodule",
+		"ghost", "not (z, ghost)"},
+	{"cycle feeding the output's gate", "module m(a,y); input a; output y; wire z, w; and (y, a, z); not (z, w); not (w, z); endmodule",
+		"z", "not (z, w)"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ name, src string }{
-		{"behavioural assign", "module m(a,y); input a; output y; assign y = a & a; endmodule"},
-		{"always block", "module m(a,y); input a; output y; always @(a) y = a; endmodule"},
-		{"undriven output", "module m(a,y); input a; output y; endmodule"},
-		{"undeclared signal ok but undriven", "module m(a,y); input a; output y; and g(y, a, ghost); endmodule"},
-		{"double driver", "module m(a,y); input a; output y; not g1(y,a); buf g2(y,a); endmodule"},
-		{"cycle", "module m(a,y); input a; output y; wire w; and g1(y,a,w); not g2(w,y); endmodule"},
-		{"bad arity not", "module m(a,b,y); input a,b; output y; not g(y,a,b); endmodule"},
-		{"malformed gate", "module m(a,y); input a; output y; and g y a; endmodule"},
-		{"empty port", "module m(a,y); input a; output y; and g(y,,a); endmodule"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseString(tc.src); err == nil {
-				t.Errorf("want error for %s", tc.src)
+			_, err := ParseString(tc.src)
+			if err == nil {
+				t.Fatalf("want error for %s", tc.src)
+			}
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v is %T, want *ParseError", err, err)
+			}
+			if tc.signal == "" {
+				return
+			}
+			if !strings.Contains(pe.Msg, strconv.Quote(tc.signal)) || pe.Stmt != tc.stmt {
+				t.Errorf("error %q in %q, want one naming %q in %q", pe.Msg, pe.Stmt, tc.signal, tc.stmt)
 			}
 		})
+	}
+}
+
+// TestParseRepeatedOutput: an output may be declared more than once,
+// and is then more than one primary output.
+func TestParseRepeatedOutput(t *testing.T) {
+	c, err := ParseString("module m(a,y); input a; output y; output y; not g(y,a); endmodule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumPIs() != 1 || c.NumPOs() != 2 {
+		t.Fatalf("interface %d PIs / %d POs, want 1/2", c.NumPIs(), c.NumPOs())
 	}
 }
 
@@ -265,28 +305,201 @@ func TestWriteSanitizesNames(t *testing.T) {
 	}
 }
 
-// TestCrossFormatAgreement: bench → circuit → verilog → circuit keeps
-// behaviour.
+// TestCrossFormatAgreement: four circuits agree on every primary-input
+// and key assignment: a small circuit, its .bench round trip, its
+// Verilog round trip, and .bench → Verilog → .bench. The circuits have
+// every gate type (MUX, which the Verilog writer lowers, included),
+// both constants and key inputs, and are locked under every scheme of
+// internal/lock, at up to 16 input and key bits. Key bit i stays key
+// bit i, named keyinput<i>.
 func TestCrossFormatAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	orig := gen.Random("xf", 9, 70, 5, 11)
-	viaBench, err := bench.ParseString(bench.Format(orig))
-	if err != nil {
-		t.Fatal(err)
+	lockers := []struct {
+		name string
+		mk   func(*circuit.Circuit, *rand.Rand) (*lock.Locked, error)
+	}{
+		{"RLL", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.RLL(c, 6, r) }},
+		{"RLL-deep", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.RLLDeep(c, 6, r) }},
+		{"SLL", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.SLL(c, 6, r) }},
+		{"SFLL-HD0", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.SFLLHD(c, 6, 0, r) }},
+		{"SFLL-HD2", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.SFLLHD(c, 6, 2, r) }},
+		{"AntiSAT", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.AntiSAT(c, 8, r) }},
+		{"SARLock", func(c *circuit.Circuit, r *rand.Rand) (*lock.Locked, error) { return lock.SARLock(c, 6, r) }},
 	}
-	viaVerilog, err := ParseString(Format(viaBench))
-	if err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		t.Run(fmt.Sprintf("seed%d/keyed", seed), func(t *testing.T) {
+			checkFormatsAgree(t, smallCircuit(rng, 6, 4))
+		})
+		orig := smallCircuit(rng, 8, 0)
+		for _, lk := range lockers {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, lk.name), func(t *testing.T) {
+				l, err := lk.mk(orig, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFormatsAgree(t, l.Circuit)
+			})
+		}
 	}
-	for trial := 0; trial < 40; trial++ {
-		pi := orig.RandomInputs(rng)
-		a := orig.Eval(pi, nil, nil)
-		b := viaVerilog.Eval(pi, nil, nil)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatal("cross-format mismatch")
+}
+
+// smallCircuit draws a circuit on nIn primary and nKey key inputs with
+// both constants and two gates of every logic type, each reading
+// earlier signals.
+func smallCircuit(rng *rand.Rand, nIn, nKey int) *circuit.Circuit {
+	c := circuit.New("small")
+	for i := 0; i < nIn; i++ {
+		c.AddInput(fmt.Sprintf("x%d", i))
+	}
+	for i := 0; i < nKey; i++ {
+		c.AddKey("")
+	}
+	c.AddGate(circuit.Const0, "zero")
+	c.AddGate(circuit.Const1, "one")
+	for i := 0; i < 2*int(circuit.Mux-circuit.Buf+1); i++ {
+		ty := circuit.Buf + circuit.GateType(i/2)
+		fan := make([]int, ty.MinFanin())
+		if ty.MaxFanin() < 0 {
+			fan = append(fan, 0, 0)
+		}
+		for j := range fan {
+			fan[j] = rng.Intn(len(c.Gates))
+		}
+		c.AddGate(ty, fmt.Sprintf("g%d", i), fan...)
+	}
+	for i := 1; i <= 4; i++ {
+		c.AddOutput(len(c.Gates)-i, "")
+	}
+	return c
+}
+
+func checkFormatsAgree(t *testing.T, orig *circuit.Circuit) {
+	t.Helper()
+	parse := func(read func(string) (*circuit.Circuit, error), text string) *circuit.Circuit {
+		t.Helper()
+		c, err := read(text)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, text)
+		}
+		return c
+	}
+	viaBench := parse(bench.ParseString, bench.Format(orig))
+	viaVerilog := parse(ParseString, Format(orig))
+	viaBoth := parse(bench.ParseString, bench.Format(parse(ParseString, Format(viaBench))))
+	want := truthTable(orig)
+	for _, rt := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{{".bench", viaBench}, {"Verilog", viaVerilog}, {".bench → Verilog → .bench", viaBoth}} {
+		c := rt.c
+		if c.NumPIs() != orig.NumPIs() || c.NumKeys() != orig.NumKeys() || c.NumPOs() != orig.NumPOs() {
+			t.Fatalf("%s round trip: interface %d/%d/%d, want %d/%d/%d", rt.name,
+				c.NumPIs(), c.NumKeys(), c.NumPOs(), orig.NumPIs(), orig.NumKeys(), orig.NumPOs())
+		}
+		for i, id := range c.Keys {
+			if name := c.Gates[id].Name; name != fmt.Sprintf("keyinput%d", i) {
+				t.Errorf("%s round trip: key bit %d is %q", rt.name, i, name)
 			}
 		}
+		got := truthTable(c)
+		for o := range want {
+			for w := range want[o] {
+				if got[o][w] != want[o][w] {
+					t.Fatalf("%s round trip: output %d differs on assignments %d..%d", rt.name, o, 64*w, 64*w+63)
+				}
+			}
+		}
+	}
+}
+
+// truthTable evaluates every output on every assignment at once, 64 to
+// a word: bit m%64 of word m/64 is the output under the assignment
+// whose bit i is primary input i, and bit NumPIs+j key bit j.
+func truthTable(c *circuit.Circuit) [][]uint64 {
+	lanes := [6]uint64{0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000}
+	vars := append(append([]int(nil), c.PIs...), c.Keys...)
+	words := 1 << max(0, len(vars)-6)
+	val := make([][]uint64, len(c.Gates))
+	for v, id := range vars {
+		val[id] = make([]uint64, words)
+		for w := range val[id] {
+			switch {
+			case v < 6:
+				val[id][w] = lanes[v]
+			case w>>(v-6)&1 == 1:
+				val[id][w] = ^uint64(0)
+			}
+		}
+	}
+	for _, id := range c.MustTopoOrder() {
+		g := &c.Gates[id]
+		if g.Type == circuit.Input || g.Type == circuit.Key {
+			continue
+		}
+		val[id] = make([]uint64, words)
+		for w := range val[id] {
+			in := func(k int) uint64 { return val[g.Fanin[k]][w] }
+			var x uint64
+			switch g.Type {
+			case circuit.Const1:
+				x = ^uint64(0)
+			case circuit.Buf, circuit.Not:
+				x = in(0)
+			case circuit.Mux:
+				x = ^in(0)&in(1) | in(0)&in(2)
+			case circuit.And, circuit.Nand:
+				x = ^uint64(0)
+				for k := range g.Fanin {
+					x &= in(k)
+				}
+			case circuit.Or, circuit.Nor:
+				for k := range g.Fanin {
+					x |= in(k)
+				}
+			case circuit.Xor, circuit.Xnor:
+				for k := range g.Fanin {
+					x ^= in(k)
+				}
+			}
+			switch g.Type {
+			case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
+				x = ^x
+			}
+			val[id][w] = x
+		}
+	}
+	out := make([][]uint64, len(c.POs))
+	for o, id := range c.POs {
+		out[o] = val[id]
+	}
+	return out
+}
+
+// TestParseLastFirstChain: a 100,000-gate NOT chain whose gates are
+// declared before their drivers builds in linear time. A worklist that
+// re-scans the pending gates once per pass took quadratic time on it.
+func TestParseLastFirstChain(t *testing.T) {
+	const n = 100000
+	var sb strings.Builder
+	sb.WriteString("module chain (a, y);\n  input a;\n  output y;\n  buf (y, w0);\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&sb, "  not (w%d, w%d);\n", i, i+1)
+	}
+	fmt.Fprintf(&sb, "  not (w%d, a);\nendmodule\n", n-1)
+	start := time.Now()
+	c, err := ParseString(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("parsing a %d-gate chain declared last-first took %v", n, el)
+	}
+	if c.NumLogicGates() != n+1 {
+		t.Fatalf("%d logic gates, want %d", c.NumLogicGates(), n+1)
+	}
+	if got := c.Eval([]bool{true}, nil, nil)[0]; got != (n%2 == 0) {
+		t.Errorf("chain(1) = %v", got)
 	}
 }
 
